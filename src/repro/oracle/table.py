@@ -8,6 +8,13 @@ also supports what the Section 3 proof does on paper: counting the number
 of possible oracles (``2^{n_out * 2^n_in}``, the ``2^{n 2^n}`` term in
 Claim 3.7's message count) and serializing the full table -- the "add the
 entire RO to our encoding" step of the encoders.
+
+The answers live in one private numpy array: ``uint64`` for answers of
+at most 62 bits (every experiment), Python ints in an ``object`` array
+above that.  A Monte-Carlo trial reads a handful of entries of a fresh
+``2^n``-entry table, so for ``uint64`` tables sampling, validation and
+(de)serialization are whole-array numpy operations with no per-entry
+Python loop.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.bits import BitReader, BitWriter, Bits
+from repro.bits import Bits
 from repro.oracle.base import Oracle
 
-#: Batch sizes below this answer faster through plain list indexing
-#: than through building a numpy index array.
-_NUMPY_BATCH_MIN = 32
+#: Answers up to this width are stored as ``uint64`` and drawn in one
+#: ``rng.integers`` call; wider answers are Python ints.
+_UINT64_BITS = 62
 
 __all__ = ["TableOracle"]
 
@@ -29,7 +36,9 @@ __all__ = ["TableOracle"]
 class TableOracle(Oracle):
     """An oracle backed by an explicit table of ``2^n_in`` answers."""
 
-    def __init__(self, n_in: int, n_out: int, table: Sequence[int]) -> None:
+    def __init__(
+        self, n_in: int, n_out: int, table: Sequence[int] | np.ndarray
+    ) -> None:
         super().__init__(n_in, n_out)
         if n_in > 30:
             raise ValueError(
@@ -41,15 +50,7 @@ class TableOracle(Oracle):
             raise ValueError(
                 f"table has {len(table)} entries, domain needs {expected}"
             )
-        limit = 1 << n_out
-        tbl = [int(v) for v in table]
-        for v in tbl:
-            if not 0 <= v < limit:
-                raise ValueError(f"table entry {v} out of range for {n_out} bits")
-        self._table = tbl
-        # Lazily built numpy copy for the batch gather path (answers
-        # wider than 62 bits do not fit uint64 and stay on lists).
-        self._np_table: np.ndarray | None = None
+        self._table = _checked_copy(table, n_out)
 
     # ------------------------------------------------------------------
     # Construction
@@ -60,9 +61,9 @@ class TableOracle(Oracle):
     ) -> "TableOracle":
         """Draw a uniformly random oracle (one sample of the paper's RO)."""
         size = 1 << n_in
-        if n_out <= 62:
+        if n_out <= _UINT64_BITS:
             values = rng.integers(0, 1 << n_out, size=size, dtype=np.uint64)
-            return cls(n_in, n_out, values.tolist())
+            return cls(n_in, n_out, values)
         # Wide outputs: assemble from 32-bit limbs.
         limbs = (n_out + 31) // 32
         table = []
@@ -74,22 +75,14 @@ class TableOracle(Oracle):
         return cls(n_in, n_out, table)
 
     def _evaluate(self, x: Bits) -> Bits:
-        return Bits(self._table[x.value], self._n_out)
+        # Entries were range-checked against n_out at construction.
+        return Bits._make(self._table.item(x.value), self._n_out)
 
     def _evaluate_batch(self, xs: Sequence[Bits]) -> list[Bits]:
+        idx = np.fromiter((x.value for x in xs), dtype=np.int64, count=len(xs))
         n_out = self._n_out
-        if n_out <= 62 and len(xs) >= _NUMPY_BATCH_MIN:
-            if self._np_table is None:
-                self._np_table = np.asarray(self._table, dtype=np.uint64)
-            idx = np.fromiter(
-                (x.value for x in xs), dtype=np.int64, count=len(xs)
-            )
-            values = self._np_table[idx].tolist()
-        else:
-            table = self._table
-            values = [table[x.value] for x in xs]
-        make = Bits._make  # entries validated against n_out at init
-        return [make(v, n_out) for v in values]
+        make = Bits._make
+        return [make(v, n_out) for v in self._table[idx].tolist()]
 
     # ------------------------------------------------------------------
     # Proof-facing operations
@@ -97,16 +90,16 @@ class TableOracle(Oracle):
     @property
     def table(self) -> tuple[int, ...]:
         """The full answer table (index = query value)."""
-        return tuple(self._table)
+        return tuple(self._table.tolist())
 
     def entries(self) -> Iterator[tuple[Bits, Bits]]:
         """Iterate over all ``(query, answer)`` pairs."""
-        for i, v in enumerate(self._table):
+        for i, v in enumerate(self._table.tolist()):
             yield Bits(i, self._n_in), Bits(v, self._n_out)
 
     def with_overrides(self, overrides: dict[Bits, Bits]) -> "TableOracle":
         """A new table oracle with the given entries rewired."""
-        table = list(self._table)
+        table = self._table.copy()
         for query, answer in overrides.items():
             if len(query) != self._n_in or len(answer) != self._n_out:
                 raise ValueError("override dimensions do not match oracle")
@@ -117,32 +110,37 @@ class TableOracle(Oracle):
         """The table as one bit string of length ``n_out * 2^n_in``.
 
         This is the "add the entire RO to our encoding" step of the
-        Claim 3.7 / A.4 encoders.
+        Claim 3.7 / A.4 encoders: entry 0 first, each entry MSB-first
+        in ``n_out`` bits.
         """
-        w = BitWriter()
-        for v in self._table:
-            w.write(v, self._n_out)
-        return w.getvalue()
+        rows = _to_byte_rows(self._table, self._n_out)
+        entry_bits = np.unpackbits(rows, axis=1)[:, -self._n_out:]
+        packed = np.packbits(entry_bits)
+        total = entry_bits.size
+        value = int.from_bytes(packed.tobytes(), "big")
+        return Bits(value >> (8 * packed.size - total), total)
 
     @classmethod
     def deserialize(cls, bits: Bits, n_in: int, n_out: int) -> "TableOracle":
         """Inverse of :meth:`serialize`."""
-        r = BitReader(bits)
-        table = [r.read(n_out) for _ in range(1 << n_in)]
-        if not r.at_end():
+        total = n_out << n_in
+        if len(bits) < total:
+            raise EOFError(
+                f"oracle table needs {total} bits, stream has {len(bits)}"
+            )
+        if len(bits) > total:
             raise ValueError("trailing bits after oracle table")
-        return cls(n_in, n_out, table)
+        nbytes = (total + 7) // 8
+        raw = (bits.value << (8 * nbytes - total)).to_bytes(nbytes, "big")
+        entry_bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=total
+        ).reshape(1 << n_in, n_out)
+        return cls(n_in, n_out, _from_entry_bits(entry_bits, n_out))
 
     @staticmethod
     def log2_number_of_oracles(n_in: int, n_out: int) -> int:
         """``log2`` of the number of functions -- the paper's ``n·2^n``."""
         return n_out * (1 << n_in)
-
-    def __getstate__(self) -> dict:
-        """Pickle without the numpy mirror (recomputable, doubles payload)."""
-        state = self.__dict__.copy()
-        state["_np_table"] = None
-        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TableOracle):
@@ -150,8 +148,52 @@ class TableOracle(Oracle):
         return (
             self._n_in == other._n_in
             and self._n_out == other._n_out
-            and self._table == other._table
+            and np.array_equal(self._table, other._table)
         )
 
     def __hash__(self) -> int:
-        return hash((self._n_in, self._n_out, tuple(self._table)))
+        return hash((self._n_in, self._n_out, self.table))
+
+
+def _checked_copy(table: Sequence[int] | np.ndarray, n_out: int) -> np.ndarray:
+    """A private array copy of ``table``, every entry in ``[0, 2^n_out)``.
+
+    The copy means a caller that keeps ``table`` cannot change the oracle
+    after the range check.
+    """
+    limit = 1 << n_out
+    if n_out <= _UINT64_BITS:
+        try:
+            arr = np.array(table, dtype=np.uint64)
+            ok = arr.max() < limit
+        except OverflowError:  # a Python int below 0 or at least 2^64
+            ok = False
+    else:
+        arr = np.array([int(v) for v in table], dtype=object)
+        ok = arr.min() >= 0 and arr.max() < limit
+    if not ok:
+        bad = next(v for v in map(int, table) if not 0 <= v < limit)
+        raise ValueError(f"table entry {bad} out of range for {n_out} bits")
+    return arr
+
+
+def _to_byte_rows(table: np.ndarray, n_out: int) -> np.ndarray:
+    """One row of big-endian bytes per entry (8 bytes for ``uint64``)."""
+    if table.dtype == object:
+        width = (n_out + 7) // 8
+        data = b"".join(v.to_bytes(width, "big") for v in table.tolist())
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    return table.astype(">u8").view(np.uint8).reshape(-1, 8)
+
+
+def _from_entry_bits(
+    entry_bits: np.ndarray, n_out: int
+) -> np.ndarray | list[int]:
+    """Entry values from one row of ``n_out`` bits (MSB first) per entry."""
+    width = 8 if n_out <= _UINT64_BITS else (n_out + 7) // 8
+    padded = np.zeros((len(entry_bits), 8 * width), dtype=np.uint8)
+    padded[:, 8 * width - n_out:] = entry_bits
+    rows = np.packbits(padded, axis=1)
+    if n_out <= _UINT64_BITS:
+        return rows.view(">u8").ravel()
+    return [int.from_bytes(row.tobytes(), "big") for row in rows]

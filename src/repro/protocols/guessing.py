@@ -170,10 +170,7 @@ def estimate_line_skip_probability(
     selects the trial family; ``jobs`` defaults to the ambient
     parallelism (see :mod:`repro.parallel`).
     """
-    if not 0 <= skip_at < params.w - 1:
-        raise ValueError(
-            f"skip_at={skip_at} must leave a next node: 0 <= skip_at < w-1"
-        )
+    _check_run(params, trials, skip_at)
     hits = map_trials(
         partial(line_skip_trial, params, skip_at, strategy),
         seed_sequence("guess.line", f"{seed}/{strategy}/skip{skip_at}", trials),
@@ -197,10 +194,7 @@ def estimate_simline_skip_probability(
     jobs: int | None = None,
 ) -> GuessingReport:
     """Monte-Carlo Lemma A.7 for ``SimLine`` (same experiment shape)."""
-    if not 0 <= skip_at < params.w - 1:
-        raise ValueError(
-            f"skip_at={skip_at} must leave a next node: 0 <= skip_at < w-1"
-        )
+    _check_run(params, trials, skip_at)
     hits = map_trials(
         partial(simline_skip_trial, params, skip_at, strategy),
         seed_sequence(
@@ -214,6 +208,18 @@ def estimate_simline_skip_probability(
     )
     _announce_guessing_cost("guessing.simline", report)
     return report
+
+
+def _check_run(
+    params: LineParams | SimLineParams, trials: int, skip_at: int
+) -> None:
+    """Reject arguments that cannot produce a meaningful report."""
+    if trials <= 0:
+        raise ValueError(f"trials={trials} must be positive")
+    if not 0 <= skip_at < params.w - 1:
+        raise ValueError(
+            f"skip_at={skip_at} must leave a next node: 0 <= skip_at < w-1"
+        )
 
 
 def _announce_guessing_cost(model: str, report: GuessingReport) -> None:

@@ -1,17 +1,25 @@
 """Tests for the oracle substrate (lazy, table, patched, hash-backed)."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits import Bits
+from repro.bits import BitWriter, Bits
+from repro.functions import LineParams, SimLineParams
 from repro.hashes import HashOracle, sha256, toy_hash
 from repro.oracle import (
     DomainError,
     LazyRandomOracle,
     PatchedOracle,
     TableOracle,
+)
+from repro.protocols import (
+    estimate_line_skip_probability,
+    estimate_simline_skip_probability,
 )
 
 
@@ -179,6 +187,108 @@ class TestTableOracle:
         c = TableOracle(1, 1, [1, 1])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+def _reference_serialize(ro: TableOracle) -> Bits:
+    """The entry-by-entry ``BitWriter`` encoding ``serialize`` must match."""
+    w = BitWriter()
+    for v in ro.table:
+        w.write(v, ro.n_out)
+    return w.getvalue()
+
+
+class TestTableStorage:
+    def test_out_of_range_array_entry_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            TableOracle(2, 3, np.array([0, 1, 8, 2], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "n_out, bad", [(2, -1), (2, 1 << 64), (70, -1), (70, 1 << 70)]
+    )
+    def test_out_of_range_list_entry_raises_value_error(self, n_out, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} out of range"):
+            TableOracle(1, n_out, [0, bad])
+
+    def test_caller_cannot_mutate_after_construction(self):
+        values = np.array([1, 2, 3, 4], dtype=np.uint64)
+        ro = TableOracle(2, 3, values)
+        values[0] = 7
+        assert ro.query(Bits(0, 2)) == Bits(1, 3)
+
+    def test_with_overrides_leaves_sampled_original(self):
+        ro = TableOracle.sample(8, 8, np.random.default_rng(4))
+        before = ro.table
+        hidden = Bits(17, 8)
+        new = Bits(ro.query(hidden).value ^ 1, 8)
+        patched = ro.with_overrides({hidden: new})
+        assert patched.query(hidden) == new
+        assert ro.table == before
+
+    def test_pickle_roundtrip(self):
+        ro = TableOracle.sample(8, 8, np.random.default_rng(5))
+        clone = pickle.loads(pickle.dumps(ro))
+        assert clone == ro
+        assert clone.query(Bits(3, 8)) == ro.query(Bits(3, 8))
+
+    def test_list_built_equals_sampled(self):
+        sampled = TableOracle.sample(6, 9, np.random.default_rng(6))
+        built = TableOracle(6, 9, list(sampled.table))
+        assert built == sampled and hash(built) == hash(sampled)
+
+    def test_batch_matches_single_queries(self):
+        ro = TableOracle.sample(6, 9, np.random.default_rng(7))
+        xs = [Bits(i * 5 % 64, 6) for i in range(40)]
+        assert ro.query_batch(xs) == [ro.query(x) for x in xs]
+        assert ro.query_batch([]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_in=st.integers(0, 10),
+        n_out=st.one_of(st.integers(1, 62), st.sampled_from([63, 70])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_serialize_matches_bitwriter_reference(self, n_in, n_out, seed):
+        rng = np.random.default_rng(seed)
+        values = list(TableOracle.sample(n_in, n_out, rng).table)
+        values[0] = (1 << n_out) - 1  # the top bit of an entry is set
+        ro = TableOracle(n_in, n_out, values)
+        blob = ro.serialize()
+        assert blob == _reference_serialize(ro)
+        assert TableOracle.deserialize(blob, n_in, n_out) == ro
+        with pytest.raises(EOFError):
+            TableOracle.deserialize(blob[:-1], n_in, n_out)
+        with pytest.raises(ValueError, match="trailing"):
+            TableOracle.deserialize(blob + Bits(0, 1), n_in, n_out)
+
+
+class TestGoldenStream:
+    """Values measured with the list-backed table before array storage.
+
+    Sampling must draw exactly the same numbers from the generator, so
+    every Monte-Carlo outcome in EXPERIMENTS.md stays the same.
+    """
+
+    def test_sample_draws_the_same_stream(self):
+        rng = np.random.default_rng(0)
+        ro = TableOracle.sample(16, 16, rng)
+        assert rng.integers(0, 1 << 32) == 146433572
+        raw = np.asarray(ro.table, dtype="<u8").tobytes()
+        assert hashlib.sha256(raw).hexdigest().startswith("98fb1a72e5c2981c")
+
+    @pytest.mark.parametrize("u, successes", [(2, 404), (3, 184), (4, 85)])
+    def test_line_guessing_counts(self, u, successes):
+        report = estimate_line_skip_probability(
+            LineParams(n=4 + 3 * u, u=u, v=4, w=6),
+            trials=1500, skip_at=2, strategy="uniform", seed=u,
+        )
+        assert report.successes == successes
+
+    def test_simline_guessing_count(self):
+        report = estimate_simline_skip_probability(
+            SimLineParams(n=9, u=3, v=4, w=6),
+            trials=1500, skip_at=2, strategy="uniform", seed=42,
+        )
+        assert report.successes == 213
 
 
 class TestPatchedOracle:

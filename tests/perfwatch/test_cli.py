@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.obs.registry import RunRegistry
 
 
-def _bench_run(tmp_path, *extra, experiment="T1"):
+def _bench_run(tmp_path, *extra, experiment="E-ENC-A"):
     """A minimal, hermetic `repro bench run` argv."""
     return [
         "bench", "run",
@@ -27,9 +27,9 @@ class TestBenchRunCli:
     def test_writes_bench_json_with_fingerprint(self, tmp_path, capsys):
         assert main(_bench_run(tmp_path)) == 0
         payload = json.loads(
-            (tmp_path / "bench-out" / "BENCH_T1.json").read_text()
+            (tmp_path / "bench-out" / "BENCH_E-ENC-A.json").read_text()
         )
-        assert payload["experiment_id"] == "T1"
+        assert payload["experiment_id"] == "E-ENC-A"
         assert payload["passed"] is True
         assert payload["counters"]
         assert payload["fingerprint"]["backend"] == "python"
@@ -40,7 +40,7 @@ class TestBenchRunCli:
         assert main(_bench_run(tmp_path)) == 0
         with RunRegistry.open(str(tmp_path / "runs.db")) as registry:
             (row,) = registry.bench_results()
-        assert row.experiment_id == "T1"
+        assert row.experiment_id == "E-ENC-A"
         assert row.wall_s > 0
         assert row.ts_utc
 
@@ -62,14 +62,14 @@ class TestBenchRunCli:
         argv = _bench_run(tmp_path)
         del argv[argv.index("--out"):argv.index("--out") + 2]
         assert main(argv) == 0
-        assert (out / "BENCH_T1.json").exists()
+        assert (out / "BENCH_E-ENC-A.json").exists()
 
     def test_json_summary_schema(self, tmp_path, capsys):
         assert main(_bench_run(tmp_path, "--json")) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["suite"] == "quick"
         (result,) = payload["results"]
-        assert result["experiment_id"] == "T1"
+        assert result["experiment_id"] == "E-ENC-A"
         assert payload["budget_violations"] == []
 
     def test_unknown_experiment_exits_2(self, tmp_path, capsys):
@@ -122,7 +122,7 @@ class TestBenchTrendCli:
             "bench", "trend", "--source", "registry",
             "--registry", str(tmp_path / "runs.db"),
         ]) == 0
-        assert "T1" in capsys.readouterr().out
+        assert "E-ENC-A" in capsys.readouterr().out
 
     def test_missing_registry_not_created(self, tmp_path, capsys):
         hist = self._history(tmp_path, [0.1, 0.1, 0.1])

@@ -20,8 +20,10 @@ class TestSuiteDefinition:
     def test_quick_tier_is_curated_and_nonempty(self):
         quick = suite_experiments("quick")
         assert len(quick) >= 5, "acceptance: quick must emit >= 5 rows"
-        assert "T1" in quick
-        assert "E-GUESS" not in quick, "E-GUESS is far too slow for quick"
+        # The slowest Monte-Carlo experiments are where a regression
+        # shows; closed-form ones sit under the trend gate's noise floor.
+        assert {"E-GUESS", "E-MEM", "E-BUDGET"} <= set(quick)
+        assert not {"T1", "E-BOUND"} & set(quick)
 
     def test_full_tier_is_the_whole_inventory(self):
         from repro.experiments import experiment_ids
@@ -111,14 +113,15 @@ class TestRunSuite:
             "quick",
             warmup=0,
             repeats=1,
-            experiments=["T1", "E-BOUND"],
+            experiments=["E-ENC-A", "E-RAM"],
             progress=lines.append,
         )
+        # Tier order, not argument order.
         assert [o.result.experiment_id for o in outcomes] == [
-            "T1", "E-BOUND",
+            "E-RAM", "E-ENC-A",
         ]
         assert len(lines) == 2
-        assert "T1" in lines[0]
+        assert "E-RAM" in lines[0]
         # All rows share one environment fingerprint probe.
         assert (
             outcomes[0].result.fingerprint
@@ -127,18 +130,18 @@ class TestRunSuite:
 
     def test_subset_outside_tier_rejected(self):
         with pytest.raises(KeyError, match="not in the 'quick' suite"):
-            run_suite("quick", experiments=["E-GUESS"])
+            run_suite("quick", experiments=["T1"])
 
     def test_registry_roundtrip(self, tmp_path):
         outcomes = run_suite(
-            "quick", warmup=0, repeats=1, experiments=["T1"]
+            "quick", warmup=0, repeats=1, experiments=["E-ENC-A"]
         )
         path = str(tmp_path / "runs.db")
         with RunRegistry.open(path) as registry:
             for outcome in outcomes:
                 registry.record_bench(outcome.result)
             assert registry.bench_count() == 1
-            (row,) = registry.bench_results("T1")
+            (row,) = registry.bench_results("E-ENC-A")
             assert row.wall_s == pytest.approx(
                 outcomes[0].result.wall_s
             )

@@ -51,6 +51,11 @@ class TestLineGuessing:
         with pytest.raises(ValueError):
             estimate_line_skip_probability(params, trials=10, skip_at=-1)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_validation(self, params, trials):
+        with pytest.raises(ValueError, match="trials"):
+            estimate_line_skip_probability(params, trials=trials, skip_at=2)
+
     def test_report_fields(self, params):
         report = estimate_line_skip_probability(
             params, trials=50, skip_at=1, seed=0
@@ -80,3 +85,8 @@ class TestSimLineGuessing:
     def test_skip_at_validation(self, params):
         with pytest.raises(ValueError):
             estimate_simline_skip_probability(params, trials=10, skip_at=5)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_validation(self, params, trials):
+        with pytest.raises(ValueError, match="trials"):
+            estimate_simline_skip_probability(params, trials=trials, skip_at=2)
