@@ -14,7 +14,7 @@
     python -m repro trace-diff baseline.jsonl current.jsonl
     python -m repro bench-compare benchmarks/baseline.json <bench-dir>
     python -m repro bench-baseline <bench-dir> [-o baseline.json]
-    python -m repro bench run [--suite quick] [--backend fast] [--history]
+    python -m repro bench run [--suite quick] [--history]
     python -m repro bench trend [--source both] [--window 8] [--json]
     python -m repro cost show [chain ram.line] [--latex]
     python -m repro cost eval chain T=64 m=4 b=2 v=8 u=16 q=none R=40
@@ -137,7 +137,6 @@ from repro.costmodel import (
     render_formulas,
     render_ledger,
 )
-from repro.engine import BACKENDS, resolve_backend, use_backend
 from repro.experiments import experiment_ids, experiment_info, run_experiment
 from repro.parallel import TrialPool, resolve_jobs, use_jobs
 from repro.obs import (
@@ -446,7 +445,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if metrics_registry is not None else None
     )
     try:
-        with use_jobs(args.jobs), use_backend(args.backend):
+        with use_jobs(args.jobs):
             result, records, monitor = _run_observed(
                 args.experiment,
                 args.scale,
@@ -537,13 +536,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             stack.enter_context(use_telemetry(telemetry))
             stack.enter_context(use_tracer(tracer))
             stack.enter_context(use_jobs(args.jobs))
-            stack.enter_context(use_backend(args.backend))
-            # Label the stream with its producing backend.  telemetry.*
-            # records are excluded from every determinism contract, so a
-            # fast trace still diffs clean against a python baseline.
-            tracer.event(
-                "telemetry.backend", backend=resolve_backend(args.backend)
-            )
             result = run_experiment(args.experiment, scale=args.scale)
             if telemetry:
                 sampler.close()
@@ -741,16 +733,12 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             print("run-all --jobs N skips --progress (per-round renderers "
                   "interleave meaninglessly across processes)",
                   file=sys.stderr)
-        # use_backend mirrors the choice into REPRO_BACKEND, which the
-        # pool's workers inherit -- every experiment runs on the same
-        # backend regardless of fan-out.
-        with use_backend(args.backend):
-            rows = TrialPool(jobs=jobs).map(task, experiment_ids())
+        rows = TrialPool(jobs=jobs).map(task, experiment_ids())
         if not args.json:
             for row in rows:
                 print(_run_all_line(row))
     else:
-        with use_jobs(args.jobs), use_backend(args.backend):
+        with use_jobs(args.jobs):
             for experiment_id in experiment_ids():
                 row = task(experiment_id)
                 rows.append(row)
@@ -806,7 +794,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """
     top = TelemetryTop()
     try:
-        with use_jobs(args.jobs), use_backend(args.backend):
+        with use_jobs(args.jobs):
             result, _, _ = _run_observed(
                 args.experiment,
                 args.scale,
@@ -935,13 +923,12 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
     out_dir = args.out or os.environ.get("REPRO_BENCH_JSON") or "bench-out"
     try:
-        with use_backend(args.backend), use_jobs(args.jobs):
+        with use_jobs(args.jobs):
             outcomes = run_suite(
                 args.suite,
                 scale=args.scale,
                 warmup=args.warmup,
                 repeats=args.repeats,
-                backend=args.backend,
                 jobs=args.jobs,
                 experiments=args.experiment or None,
                 progress=lambda line: print(line, file=sys.stderr),
@@ -1016,8 +1003,6 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
     points = merge_points(history_points, registry_points)
     if args.experiment:
         points = [p for p in points if p.experiment_id in args.experiment]
-    if args.backend_filter:
-        points = [p for p in points if p.backend == args.backend_filter]
     report = bench_trend(
         points,
         window=args.window,
@@ -1237,19 +1222,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("profile: an experiment id (or --compare A B) is required",
               file=sys.stderr)
         return 2
-    with use_backend(args.backend):
-        session = profile_experiment(
-            args.experiment,
-            scale=args.scale,
-            cprofile=args.cprofile,
-            cprofile_span=args.cprofile_span,
-            memory=args.memory,
-        )
+    session = profile_experiment(
+        args.experiment,
+        scale=args.scale,
+        cprofile=args.cprofile,
+        cprofile_span=args.cprofile_span,
+        memory=args.memory,
+    )
     if args.json:
         payload = {
             "experiment_id": args.experiment,
             "scale": args.scale,
-            "backend": session.backend,
             "passed": session.result.passed,
             "total_s": session.profiler.total_s,
             "hotspots": [h.to_dict() for h in session.profiler.hotspots()],
@@ -1266,8 +1249,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(session.memory.render())
     status = "ok" if session.result.passed else "FAIL"
     print(f"profile: {args.experiment} {status}, "
-          f"{len(session.records)} trace records, "
-          f"backend={session.backend}", file=sys.stderr)
+          f"{len(session.records)} trace records", file=sys.stderr)
     return 0 if session.result.passed else 1
 
 
@@ -1397,8 +1379,7 @@ def _cmd_cost_check(args: argparse.Namespace) -> int:
                 tracer = Tracer(keep_records=False)
                 oracle = CostOracle(tracer=tracer)
                 tracer.subscribe(oracle)
-                with use_tracer(tracer), use_jobs(args.jobs), \
-                        use_backend(args.backend):
+                with use_tracer(tracer), use_jobs(args.jobs):
                     run_experiment(eid, scale=args.scale)
                 oracles[eid] = oracle
     except CostModelUnavailable as exc:
@@ -1458,18 +1439,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         help="worker processes for Monte-Carlo trial loops (default: "
         "REPRO_JOBS env var, else 1 = serial; results are bit-identical "
         "at any N -- see docs/PERFORMANCE.md)",
-    )
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="execution backend for the MPC round loop and the word-RAM "
-        "interpreter (default: REPRO_BACKEND env var, else python). "
-        "'fast' is observably identical -- same outputs, stats, faults, "
-        "and deterministic trace stream -- see docs/PERFORMANCE.md",
     )
 
 
@@ -1572,7 +1541,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_monitor_flags(run_p)
     _add_telemetry_flags(run_p)
     _add_jobs_flag(run_p)
-    _add_backend_flag(run_p)
     _add_record_flags(run_p)
     run_p.set_defaults(fn=_cmd_run)
 
@@ -1588,7 +1556,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_monitor_flags(all_p)
     _add_telemetry_flags(all_p)
     _add_jobs_flag(all_p)
-    _add_backend_flag(all_p)
     _add_record_flags(all_p)
     all_p.set_defaults(fn=_cmd_run_all)
 
@@ -1745,7 +1712,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     prof_p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    _add_backend_flag(prof_p)
     prof_p.set_defaults(fn=_cmd_profile)
 
     diff_p = sub.add_parser(
@@ -1843,7 +1809,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_monitor_flags(trc_p)
     _add_telemetry_flags(trc_p)
     _add_jobs_flag(trc_p)
-    _add_backend_flag(trc_p)
     trc_p.set_defaults(fn=_cmd_trace)
 
     top_p = sub.add_parser(
@@ -1862,7 +1827,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "a worker stall (default: REPRO_STALL_DEADLINE env var, else 30)",
     )
     _add_jobs_flag(top_p)
-    _add_backend_flag(top_p)
     top_p.set_defaults(fn=_cmd_top)
 
     cost_p = sub.add_parser(
@@ -1918,7 +1882,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     _add_jobs_flag(ccheck_p)
-    _add_backend_flag(ccheck_p)
     ccheck_p.set_defaults(fn=_cmd_cost_check)
 
     cmp_p = sub.add_parser(
@@ -2006,7 +1969,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     brun_p.add_argument(
         "--history-keep-last", type=int, default=60, metavar="N",
-        help="prune each (experiment, backend) history series to its "
+        help="prune each experiment's history series to its "
         "N newest rows when appending (default 60)",
     )
     brun_p.add_argument(
@@ -2022,7 +1985,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     _add_jobs_flag(brun_p)
-    _add_backend_flag(brun_p)
     _add_registry_flag(brun_p)
     brun_p.set_defaults(fn=_cmd_bench_run)
 
@@ -2034,11 +1996,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     btrend_p.add_argument(
         "-e", "--experiment", action="append", default=None, metavar="ID",
         help="restrict to these experiment ids (repeatable)",
-    )
-    btrend_p.add_argument(
-        "--backend", dest="backend_filter", default=None,
-        choices=sorted(BACKENDS),
-        help="restrict to one backend's series",
     )
     btrend_p.add_argument(
         "--source", choices=("both", "history", "registry"),

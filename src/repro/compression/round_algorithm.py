@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from repro.bits import Bits
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
+from repro.mpc.simulator import MPCSimulator
 from repro.mpc.tape import SharedTape
 from repro.oracle.base import Oracle
 from repro.oracle.counting import CountingOracle
@@ -106,7 +106,7 @@ class MPCRoundAlgorithm(RoundAlgorithm):
 
         # Stop right after the inbox of round_k is observable.
         run_params = replace(params, max_rounds=self._round + 1)
-        sim = make_simulator(
+        sim = MPCSimulator(
             run_params,
             machines,
             oracle=oracle,

@@ -18,8 +18,7 @@ from repro.bits import Bits
 from repro.mhf.romix import romix
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 
 __all__ = ["OneRoundROMixMachine", "build_one_round_romix", "run_one_round_romix"]
@@ -86,7 +85,7 @@ def run_one_round_romix(
     setup: OneRoundROMixSetup, oracle: Oracle
 ) -> tuple[MPCResult, Bits]:
     """Run and cross-check against the honest sequential evaluation."""
-    sim = make_simulator(setup.mpc_params, setup.machines, oracle=oracle)
+    sim = MPCSimulator(setup.mpc_params, setup.machines, oracle=oracle)
     result = sim.run(setup.initial_memories)
     reference = romix(oracle, setup.initial_memories[0], setup.cost)
     return result, reference

@@ -24,7 +24,7 @@ import numpy as np
 from repro.bits import Bits
 from repro.mpc.machine import Machine
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
+from repro.mpc.simulator import MPCSimulator
 from repro.oracle.base import Oracle
 
 __all__ = [
@@ -58,7 +58,7 @@ def run_with_budget(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     capped = replace(params, max_rounds=budget)
-    sim = make_simulator(capped, machines, oracle=oracle)
+    sim = MPCSimulator(capped, machines, oracle=oracle)
     result = sim.run(list(initial_memories))
     return BudgetedRun(
         budget=budget,

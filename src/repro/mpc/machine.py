@@ -72,10 +72,10 @@ class Machine(ABC):
     #: :meth:`run_round` output is a pure function of ``ctx.incoming``
     #: (plus the oracle and tape, which are themselves functional): it
     #: reads ``ctx.round`` only to detect round 0 and carries no mutable
-    #: state across rounds.  The fast backend's steady-state memo
-    #: (:class:`repro.engine.FastMPCSimulator`) replays a machine's
-    #: previous round only when it opts in here; the default is the safe
-    #: ``False``.
+    #: state across rounds.  :meth:`repro.mpc.MPCSimulator.run` replays
+    #: a machine's previous output for a repeated inbox only when it opts
+    #: in here; the default is the safe ``False``.  The simulator trusts
+    #: this declaration and does not check it.
     round_oblivious: bool = False
 
     @abstractmethod

@@ -119,6 +119,19 @@ class MPCSimulator:
         one closing ``mpc.run`` span.  Span hooks (scoped profilers)
         additionally see each machine's local computation as an
         ``mpc.machine_step`` window.
+
+        **Steady-state replay.**  Machines are memoryless across rounds
+        (Definition 2.1), so a machine whose class declares
+        :attr:`~repro.mpc.machine.Machine.round_oblivious` and whose
+        inbox at round ``k >= 1`` equals the inbox of its last executed
+        step must return the same :class:`RoundOutput`.  The simulator
+        then reuses the cached output instead of calling ``run_round``;
+        the observer, routing, :class:`RoundStats`, the traced
+        ``mpc.machine_step`` event (with ``dur=0.0``) and halting run as
+        for an executed step.  A step is cached only at round ``>= 1``,
+        only if it made zero oracle queries (so the transcript and the
+        query budget see every query), and never while span hooks are
+        attached (they want real compute windows).
         """
         params = self._params
         if len(initial_memories) != params.m:
@@ -162,6 +175,12 @@ class MPCSimulator:
         tape = self._tape
         now = tracer.now
         emit = tracer.event
+        # One replay slot per machine: (incoming, incoming_bits, result)
+        # of its last executed step, or None when it may not be replayed.
+        replayable = [
+            machine.round_oblivious and not hooked for machine in machines
+        ]
+        memo: list[tuple | None] = [None] * m
 
         for round_k in range(params.max_rounds):
             round_span = (
@@ -179,48 +198,62 @@ class MPCSimulator:
 
             for i, machine in enumerate(machines):
                 incoming = tuple(inboxes[i])
-                incoming_bits = sum(len(p) for _, p in incoming)
-                if incoming_bits > s_bits:
-                    raise MemoryExceeded(
-                        f"machine {i} holds {incoming_bits} bits at round "
-                        f"{round_k}, local memory is s={s_bits}"
-                    )
+                cached = memo[i]
+                replay = cached is not None and cached[0] == incoming
+                if replay:
+                    _, incoming_bits, result = cached
+                else:
+                    incoming_bits = sum(len(p) for _, p in incoming)
+                    if incoming_bits > s_bits:
+                        raise MemoryExceeded(
+                            f"machine {i} holds {incoming_bits} bits at round "
+                            f"{round_k}, local memory is s={s_bits}"
+                        )
                 if observer is not None:
                     observer(round_k, i, incoming)
                 if oracle is not None:
                     oracle.set_context(round=round_k, machine=i)
-                ctx = RoundContext(
-                    round=round_k,
-                    machine_id=i,
-                    num_machines=m,
-                    incoming=incoming,
-                    oracle=oracle,
-                    tape=tape,
-                )
-                if traced:
-                    step_start = now()
-                    if hooked:
-                        with tracer.hook_scope("mpc.machine_step"):
+                if replay:
+                    step_dur = 0.0
+                else:
+                    ctx = RoundContext(
+                        round=round_k,
+                        machine_id=i,
+                        num_machines=m,
+                        incoming=incoming,
+                        oracle=oracle,
+                        tape=tape,
+                    )
+                    if traced:
+                        step_start = now()
+                        if hooked:
+                            with tracer.hook_scope("mpc.machine_step"):
+                                result = machine.run_round(ctx)
+                        else:
                             result = machine.run_round(ctx)
+                        step_dur = now() - step_start
                     else:
                         result = machine.run_round(ctx)
-                    step_dur = now() - step_start
-                else:
-                    result = machine.run_round(ctx)
-                if not isinstance(result, RoundOutput):
-                    raise ProtocolError(
-                        f"machine {i} returned {type(result).__name__}, "
-                        "expected RoundOutput"
-                    )
+                    if not isinstance(result, RoundOutput):
+                        raise ProtocolError(
+                            f"machine {i} returned {type(result).__name__}, "
+                            "expected RoundOutput"
+                        )
+                    if not isinstance(result.output, (Bits, type(None))):
+                        raise ProtocolError(
+                            f"machine {i} output a "
+                            f"{type(result.output).__name__}, expected Bits"
+                        )
                 if incoming or result.messages or result.output is not None:
                     active += 1
                 sent_messages = 0
                 sent_bits = 0
                 sent_to: dict[str, int] = {}
                 for dst, payload in result.messages.items():
-                    if not 0 <= dst < m:
+                    if type(dst) is not int or not 0 <= dst < m:
                         raise ProtocolError(
-                            f"machine {i} sent a message to invalid machine {dst}"
+                            f"machine {i} sent a message to invalid machine "
+                            f"{dst!r}"
                         )
                     if not isinstance(payload, Bits):
                         raise ProtocolError(
@@ -238,6 +271,9 @@ class MPCSimulator:
                         # keys); the analysis layer int()s them back.
                         key = str(dst)
                         sent_to[key] = sent_to.get(key, 0) + len(payload)
+                step_queries = (
+                    oracle.queries_in_context() if oracle is not None else 0
+                )
                 if traced:
                     emit(
                         "mpc.machine_step",
@@ -248,11 +284,13 @@ class MPCSimulator:
                         sent_messages=sent_messages,
                         sent_bits=sent_bits,
                         sent_to=sent_to,
-                        oracle_queries=(
-                            oracle.queries_in_context()
-                            if oracle is not None
-                            else 0
-                        ),
+                        oracle_queries=step_queries,
+                    )
+                if not replay:
+                    memo[i] = (
+                        (incoming, incoming_bits, result)
+                        if replayable[i] and round_k and not step_queries
+                        else None
                     )
                 if result.output is not None:
                     outputs[i] = result.output

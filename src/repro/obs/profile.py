@@ -401,8 +401,6 @@ class ProfileSession:
     profiler: SpanProfiler
     cprofile: ScopedCProfile | None = None
     memory: RoundMemorySampler | None = None
-    #: Execution backend that produced these records ("python"/"fast").
-    backend: str = "python"
 
 
 def profile_experiment(
@@ -419,11 +417,9 @@ def profile_experiment(
     kind; ``memory`` attaches the per-round ``tracemalloc`` sampler.
     """
     # Imported here: repro.experiments itself imports repro.obs.
-    from repro.engine.backend import default_backend
     from repro.experiments import run_experiment
     from repro.obs.tracer import Tracer, use_tracer
 
-    backend = default_backend()
     tracer = Tracer()
     profiler = SpanProfiler()
     tracer.subscribe(profiler)
@@ -439,9 +435,6 @@ def profile_experiment(
         sampler.start()
     try:
         with use_tracer(tracer):
-            # telemetry.* records sit outside the determinism contract,
-            # so the label never perturbs trace-diff fingerprints.
-            tracer.event("telemetry.backend", backend=backend)
             result = run_experiment(experiment_id, scale=scale)
     finally:
         if scoped is not None:
@@ -455,5 +448,4 @@ def profile_experiment(
         profiler=profiler,
         cprofile=scoped,
         memory=sampler,
-        backend=backend,
     )

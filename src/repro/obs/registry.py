@@ -49,10 +49,12 @@ Schema v3 adds a second table, ``bench_results``: one row per
 ``runs`` rows are deterministic fingerprints with wall-clock as an
 advisory sidecar, ``bench_results`` rows are the opposite -- wall-clock
 *is* the payload (warmup + best-of-k timing), stamped with the
-environment fingerprint (git SHA, python, CPU model/cores, backend,
-jobs) that makes cross-machine comparisons honest.  Bench rows never
-feed deterministic fingerprints; ``repro bench trend`` reads them for
-the wall-clock changepoint gate.
+environment fingerprint (git SHA, python, CPU model/cores, jobs) that
+makes cross-machine comparisons honest.  Bench rows never feed
+deterministic fingerprints; ``repro bench trend`` reads them for the
+wall-clock changepoint gate.  The table's ``backend`` column dates from
+when two execution backends existed; it is no longer written and keeps
+its ``'python'`` default.
 """
 
 from __future__ import annotations
@@ -302,7 +304,6 @@ class BenchResult:
     wall_s: float | None
     suite: str = "quick"
     scale: str = "quick"
-    backend: str = "python"
     jobs: int = 1
     warmup: int = 0
     repeats: int = 1
@@ -324,7 +325,6 @@ class BenchResult:
             "experiment_id": self.experiment_id,
             "suite": self.suite,
             "scale": self.scale,
-            "backend": self.backend,
             "jobs": self.jobs,
             "warmup": self.warmup,
             "repeats": self.repeats,
@@ -435,16 +435,15 @@ class RunRegistry:
         sha = result.git_sha if result.git_sha is not None else git_sha()
         cursor = self._conn.execute(
             "INSERT INTO bench_results (ts_utc, git_sha, experiment_id, "
-            "suite, scale, backend, jobs, warmup, repeats, wall_s, mean_s, "
+            "suite, scale, jobs, warmup, repeats, wall_s, mean_s, "
             "rss_peak_kb, passed, fingerprint, counters) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 ts,
                 sha,
                 result.experiment_id,
                 result.suite,
                 result.scale,
-                result.backend,
                 result.jobs,
                 result.warmup,
                 result.repeats,
@@ -567,7 +566,6 @@ class RunRegistry:
             experiment_id=row["experiment_id"],
             suite=row["suite"],
             scale=row["scale"],
-            backend=row["backend"],
             jobs=row["jobs"],
             warmup=row["warmup"],
             repeats=row["repeats"],
@@ -583,7 +581,6 @@ class RunRegistry:
         self,
         experiment_id: str | None = None,
         *,
-        backend: str | None = None,
         suite: str | None = None,
         limit: int | None = None,
         newest_first: bool = True,
@@ -595,7 +592,6 @@ class RunRegistry:
         args: list = []
         for column, value in (
             ("experiment_id", experiment_id),
-            ("backend", backend),
             ("suite", suite),
         ):
             if value is not None:

@@ -263,7 +263,7 @@ class Tracer:
         The meter is an object with ``begin() -> token`` / ``end(token)``
         methods (see :class:`repro.telemetry.OverheadMeter`) timing the
         full fan-out of every record -- the observability tax the
-        ``telemetry.overhead_frac`` report subtracts from backend
+        ``telemetry.overhead_frac`` report subtracts from timing
         comparisons.  Nested emissions (a subscriber emitting) are the
         meter's problem: it only times the outermost window.
         """

@@ -68,8 +68,7 @@ class Oracle(ABC):
         oracles are functional, so batching changes nothing observable.
         Implementations with a vectorized ``_evaluate_batch`` (table
         gather, batched PRF) answer the whole batch without per-query
-        Python dispatch, which is what the fast MPC/RAM backends lean
-        on.
+        Python dispatch.
         """
         n_in = self._n_in
         for x in xs:

@@ -7,7 +7,7 @@ closes the same loop around **speed**:
 
 * :mod:`repro.perfwatch.suite` -- the curated benchmark suite behind
   ``repro bench run``: warmup + best-of-k timing per experiment, an
-  environment fingerprint (git SHA, python, CPU, backend, jobs) on
+  environment fingerprint (git SHA, python, CPU, jobs) on
   every row, standardized ``BENCH_*.json`` payloads, and rows in the
   registry's ``bench_results`` table (schema v3);
 * :mod:`repro.perfwatch.changepoint` -- statistical regression

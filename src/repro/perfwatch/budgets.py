@@ -6,15 +6,13 @@ how slow and how big each experiment is *allowed* to get::
     {
       "version": 1,
       "budgets": {
-        "E-LINE":        {"wall_s": 5.0},
-        "E-LINE/fast":   {"wall_s": 2.0},
-        "*":             {"wall_s": 30.0, "rss_peak_kb": 2097152}
+        "E-LINE": {"wall_s": 5.0},
+        "*":      {"wall_s": 30.0, "rss_peak_kb": 2097152}
       }
     }
 
-Lookup is most-specific-wins: ``"<experiment>/<backend>"`` beats
-``"<experiment>"`` beats the ``"*"`` catch-all; an experiment matching
-no key has no budget.  Budget checks are **advisory** in exactly the
+Lookup is most-specific-wins: ``"<experiment>"`` beats the ``"*"``
+catch-all; an experiment matching no key has no budget.  Budget checks are **advisory** in exactly the
 sense of :mod:`repro.obs.monitor` violations: they annotate a bench
 run's report and can gate CI, but wall-clock and RSS never enter any
 deterministic fingerprint -- a budget breach changes what a human
@@ -73,11 +71,10 @@ class BudgetViolation:
     what the budget allowed, and which rule matched."""
 
     experiment_id: str
-    backend: str
     metric: str  # "wall_s" | "rss_peak_kb"
     observed: float
     limit: float
-    budget_key: str  # the rule that matched ("E-LINE/fast", "*", ...)
+    budget_key: str  # the rule that matched ("E-LINE", "*", ...)
 
     @property
     def ratio(self) -> float:
@@ -86,7 +83,6 @@ class BudgetViolation:
     def to_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
-            "backend": self.backend,
             "metric": self.metric,
             "observed": self.observed,
             "limit": self.limit,
@@ -150,10 +146,10 @@ def load_budgets(path: str | None = None) -> dict[str, Budget]:
 
 
 def _budget_for(
-    budgets: Mapping[str, Budget], experiment_id: str, backend: str
+    budgets: Mapping[str, Budget], experiment_id: str
 ) -> Budget | None:
-    """Most-specific-wins lookup: exp/backend, then exp, then ``*``."""
-    for key in (f"{experiment_id}/{backend}", experiment_id, "*"):
+    """Most-specific-wins lookup: the experiment, then ``*``."""
+    for key in (experiment_id, "*"):
         budget = budgets.get(key)
         if budget is not None:
             return budget
@@ -167,7 +163,7 @@ def check_budgets(
     against the declared budgets; returns every breach."""
     violations: list[BudgetViolation] = []
     for result in results:
-        budget = _budget_for(budgets, result.experiment_id, result.backend)
+        budget = _budget_for(budgets, result.experiment_id)
         if budget is None:
             continue
         for metric, observed, limit in (
@@ -180,7 +176,6 @@ def check_budgets(
                 violations.append(
                     BudgetViolation(
                         experiment_id=result.experiment_id,
-                        backend=result.backend,
                         metric=metric,
                         observed=float(observed),
                         limit=limit,
@@ -201,7 +196,7 @@ def render_budget_violations(
         else:
             detail = f"{v.observed:.0f}kB > {v.limit:.0f}kB"
         lines.append(
-            f"budget: {v.experiment_id} ({v.backend}) {v.metric} "
+            f"budget: {v.experiment_id} {v.metric} "
             f"{detail} ({v.ratio:.2f}x, rule {v.budget_key!r}) [advisory]"
         )
     return lines

@@ -24,8 +24,7 @@ sustained slowdown).
 History comes from two sources, merged chronologically: the committed
 ``benchmarks/bench_history.json`` ledger (rows appended by
 ``repro bench run --history``) and the run registry's ``bench_results``
-table.  Series are keyed by ``(experiment_id, backend)`` -- mixing
-backends in one series would "detect" the python/fast speed gap.
+table.  Each experiment is one series.
 """
 
 from __future__ import annotations
@@ -64,17 +63,12 @@ class BenchPoint:
 
     experiment_id: str
     wall_s: float
-    backend: str = "python"
     suite: str = "quick"
     scale: str = "quick"
     ts_utc: str = ""
     git_sha: str | None = None
     #: Where the point came from: ``"history"`` or ``"registry"``.
     source: str = "history"
-
-    def key(self) -> tuple[str, str]:
-        """The series key: backends are never trended together."""
-        return (self.experiment_id, self.backend)
 
 
 def load_bench_history(path: str = DEFAULT_HISTORY) -> list[dict]:
@@ -118,7 +112,6 @@ def points_from_history(
             BenchPoint(
                 experiment_id=str(row.get("experiment_id", "?")),
                 wall_s=float(wall),
-                backend=str(row.get("backend", "python")),
                 suite=str(row.get("suite", "quick")),
                 scale=str(row.get("scale", "quick")),
                 ts_utc=str(row.get("ts_utc", "")),
@@ -130,13 +123,11 @@ def points_from_history(
 
 
 def points_from_registry(
-    registry, *, suite: str | None = None, backend: str | None = None
+    registry, *, suite: str | None = None
 ) -> list[BenchPoint]:
     """Chronological points from a :class:`~repro.obs.registry.RunRegistry`
     (its ``bench_results`` table, schema v3)."""
-    results = registry.bench_results(
-        suite=suite, backend=backend, newest_first=False
-    )
+    results = registry.bench_results(suite=suite, newest_first=False)
     return points_from_history(
         (r.to_dict() for r in results), source="registry"
     )
@@ -151,15 +142,14 @@ def merge_points(
     registry and the ledger; merging the two sources naively would
     double-count it (and a doubled latest point would halve every
     gap the gate is supposed to see).  Identity is
-    ``(experiment_id, backend, ts_utc, wall_s)`` -- the first source
+    ``(experiment_id, ts_utc, wall_s)`` -- the first source
     listing a measurement keeps it.
     """
     seen: set[tuple] = set()
     merged: list[BenchPoint] = []
     for source in sources:
         for point in source:
-            key = (point.experiment_id, point.backend, point.ts_utc,
-                   point.wall_s)
+            key = (point.experiment_id, point.ts_utc, point.wall_s)
             if key in seen:
                 continue
             seen.add(key)
@@ -178,7 +168,7 @@ def append_bench_history(
     ``results`` are :class:`~repro.obs.registry.BenchResult` rows; the
     ledger stores only the trend-relevant subset (no counters, no full
     fingerprint -- those live in the registry).  ``keep_last`` prunes
-    each ``(experiment_id, backend)`` series to its N most recent rows
+    each experiment's series to its N most recent rows
     so the committed file stays reviewably small.  Written with
     indentation and a trailing newline for clean git diffs.
     """
@@ -187,7 +177,6 @@ def append_bench_history(
         rows.append(
             {
                 "experiment_id": result.experiment_id,
-                "backend": result.backend,
                 "suite": result.suite,
                 "scale": result.scale,
                 "wall_s": result.wall_s,
@@ -199,9 +188,9 @@ def append_bench_history(
         )
     if keep_last is not None and keep_last > 0:
         kept: list[dict] = []
-        seen: dict[tuple, int] = {}
+        seen: dict[str, int] = {}
         for row in reversed(rows):
-            key = (row.get("experiment_id"), row.get("backend"))
+            key = row.get("experiment_id")
             if seen.get(key, 0) < keep_last:
                 seen[key] = seen.get(key, 0) + 1
                 kept.append(row)
@@ -219,10 +208,9 @@ def append_bench_history(
 
 @dataclass
 class BenchTrendSeries:
-    """One ``(experiment_id, backend)`` wall-clock series plus verdict."""
+    """One experiment's wall-clock series plus verdict."""
 
     experiment_id: str
-    backend: str
     values: list[float]
     window: int
     threshold: float
@@ -238,7 +226,6 @@ class BenchTrendSeries:
     def to_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
-            "backend": self.backend,
             "n": len(self.values),
             "latest": self.latest,
             "baseline": self.baseline,
@@ -352,7 +339,7 @@ class BenchTrendReport:
             return lines
         for s in self.series:
             spark = ascii_sparkline(s.values[-16:])
-            label = f"{s.experiment_id}/{s.backend}"
+            label = s.experiment_id
             if s.latest is None:
                 lines.append(
                     f"  {label:<22} {spark:<16} "
@@ -372,7 +359,7 @@ class BenchTrendReport:
         for s in self.regressions:
             lines.append("")
             lines.append(
-                f"regression: {s.experiment_id} ({s.backend}) is "
+                f"regression: {s.experiment_id} is "
                 f"{s.ratio:.2f}x its rolling median "
                 f"({s.latest:.4f}s vs {s.baseline:.4f}s) -- "
                 + (
@@ -393,29 +380,28 @@ def bench_trend(
     min_delta: float = 0.005,
     z_threshold: float = 4.0,
 ) -> BenchTrendReport:
-    """Group points into per-``(experiment, backend)`` series and gate
-    each.  Points must arrive in chronological order per series (both
-    sources emit them that way)."""
+    """Group points into one series per experiment and gate each.
+    Points must arrive in chronological order per series (both sources
+    emit them that way)."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if min_delta < 0:
         raise ValueError(f"min_delta must be >= 0, got {min_delta}")
-    grouped: dict[tuple[str, str], list[float]] = {}
+    grouped: dict[str, list[float]] = {}
     for point in points:
-        grouped.setdefault(point.key(), []).append(point.wall_s)
+        grouped.setdefault(point.experiment_id, []).append(point.wall_s)
     report = BenchTrendReport(
         window=window,
         threshold=threshold,
         min_delta=min_delta,
         z_threshold=z_threshold,
     )
-    for (experiment_id, backend) in sorted(grouped):
+    for experiment_id in sorted(grouped):
         series = BenchTrendSeries(
             experiment_id=experiment_id,
-            backend=backend,
-            values=grouped[(experiment_id, backend)],
+            values=grouped[experiment_id],
             window=window,
             threshold=threshold,
             min_delta=min_delta,

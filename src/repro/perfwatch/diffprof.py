@@ -2,21 +2,21 @@
 
 One hotspot table says where a run's time went; two aligned tables say
 where a *speedup or slowdown* went.  Given two traces of the same
-experiment (e.g. E-LINE under the python backend vs the fast backend),
+experiment (e.g. E-LINE at two commits),
 this module folds each through :class:`~repro.obs.profile.SpanProfiler`
 and aligns the hotspot rows by span name.
 
 The accounting identity that makes the attribution exact: self-times
 partition a profiler's total (every traced second belongs to exactly
 one span's self-time), so the per-span **self-time deltas sum to the
-total wall-clock delta**.  A span present in only one trace (a backend
+total wall-clock delta**.  A span present in only one trace (a version
 that skips a phase entirely) contributes its full self-time on the
 side it exists.  Whatever floating-point residue is left over is
 reported as ``unattributed`` rather than silently absorbed.
 
 Traces are deterministic counters plus wall-clock spans; the diff
 reads only the spans, so it works on any two trace files -- different
-backends, different commits, different machines -- as long as they ran
+commits, different machines -- as long as they ran
 the same workload.
 """
 

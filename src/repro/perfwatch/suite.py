@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Sequence
 
-from repro.engine.backend import resolve_backend
 from repro.obs.baseline import counters_of
 from repro.obs.metrics import TraceMetrics
 from repro.obs.registry import BenchResult, git_sha
@@ -120,15 +119,13 @@ def _rss_peak_kb() -> float | None:
     return None
 
 
-def environment_fingerprint(
-    *, backend: str | None = None, jobs: int | None = None
-) -> dict:
+def environment_fingerprint(*, jobs: int | None = None) -> dict:
     """The context stamp every bench row carries.
 
     Wall-clock numbers are only comparable within one environment; the
     fingerprint makes "which environment" explicit: git SHA, python
     version/implementation, platform, CPU model and logical core
-    count, plus the resolved execution backend and parallelism degree.
+    count, plus the resolved parallelism degree.
     """
     return {
         "git_sha": git_sha(),
@@ -137,7 +134,6 @@ def environment_fingerprint(
         "platform": platform.platform(),
         "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
-        "backend": resolve_backend(backend),
         "jobs": resolve_jobs(jobs),
     }
 
@@ -188,15 +184,13 @@ def run_bench(
     suite: str = "quick",
     warmup: int = 1,
     repeats: int = 3,
-    backend: str | None = None,
     jobs: int | None = None,
     fingerprint: dict | None = None,
 ) -> BenchOutcome:
     """Measure one experiment: warmup, best-of-k, counters, fingerprint.
 
-    The caller is expected to have installed the backend/jobs scopes
-    (``use_backend`` / ``use_jobs``); ``backend`` and ``jobs`` here
-    only label the fingerprint.  ``fingerprint`` short-circuits the
+    The caller is expected to have installed the jobs scope
+    (``use_jobs``); ``jobs`` here only labels the fingerprint.  ``fingerprint`` short-circuits the
     environment probe when the caller already built one for the whole
     suite.
     """
@@ -235,7 +229,7 @@ def run_bench(
     stamp = dict(
         fingerprint
         if fingerprint is not None
-        else environment_fingerprint(backend=backend, jobs=jobs)
+        else environment_fingerprint(jobs=jobs)
     )
     # Stamp identity here, at measurement time, so the registry row and
     # the history-ledger row of one measurement are recognizably the
@@ -244,7 +238,6 @@ def run_bench(
         experiment_id=experiment_id,
         suite=suite,
         scale=scale,
-        backend=resolve_backend(backend),
         jobs=resolve_jobs(jobs),
         warmup=warmup,
         repeats=repeats,
@@ -268,7 +261,6 @@ def run_suite(
     scale: str = "quick",
     warmup: int = 1,
     repeats: int = 3,
-    backend: str | None = None,
     jobs: int | None = None,
     experiments: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
@@ -288,7 +280,7 @@ def run_suite(
                 f"(its tier: {names})"
             )
         names = [n for n in names if n in set(experiments)]
-    stamp = environment_fingerprint(backend=backend, jobs=jobs)
+    stamp = environment_fingerprint(jobs=jobs)
     outcomes: list[BenchOutcome] = []
     for experiment_id in names:
         outcome = run_bench(
@@ -297,7 +289,6 @@ def run_suite(
             suite=suite,
             warmup=warmup,
             repeats=repeats,
-            backend=backend,
             jobs=jobs,
             fingerprint=stamp,
         )

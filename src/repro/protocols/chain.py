@@ -28,8 +28,7 @@ from repro.obs import get_tracer
 from repro.functions.params import LineParams
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 from repro.protocols.wire import (
     Frontier,
@@ -90,7 +89,7 @@ class LineChainMachine(Machine):
     """
 
     #: Output for rounds >= 1 is a pure function of the incoming
-    #: messages; safe for the fast backend's steady-state memo.
+    #: messages; safe for the simulator's steady-state replay.
     round_oblivious = True
 
     def __init__(
@@ -307,7 +306,7 @@ def run_chain(setup: ChainSetup, oracle: Oracle) -> MPCResult:
             trigger="mpc.run",
             params=chain_cost_bindings(setup),
         )
-    sim = make_simulator(
+    sim = MPCSimulator(
         setup.mpc_params, setup.machines, oracle=oracle
     )
     return sim.run(setup.initial_memories)

@@ -26,8 +26,7 @@ from repro.functions.params import LineParams
 from repro.obs import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 from repro.protocols.wire import (
     Frontier,
@@ -46,7 +45,7 @@ class FullMemoryMachine(Machine):
     """Gather every piece on machine 0, then evaluate locally."""
 
     #: Output for rounds >= 1 is a pure function of the incoming
-    #: messages; safe for the fast backend's steady-state memo.
+    #: messages; safe for the simulator's steady-state replay.
     round_oblivious = True
 
     def __init__(self, params: LineParams, machine_id: int) -> None:
@@ -164,5 +163,5 @@ def run_fullmem(setup: FullMemorySetup, oracle: Oracle) -> MPCResult:
         tracer.event(
             "cost.model", model=model_id, trigger="mpc.run", params=bindings
         )
-    sim = make_simulator(setup.mpc_params, setup.machines, oracle=oracle)
+    sim = MPCSimulator(setup.mpc_params, setup.machines, oracle=oracle)
     return sim.run(setup.initial_memories)

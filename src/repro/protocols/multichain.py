@@ -33,8 +33,7 @@ from repro.functions.line import line_query
 from repro.functions.params import LineParams
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 from repro.protocols.chain import cyclic_replicated_owners
 
@@ -104,7 +103,7 @@ class MultiChainMachine(Machine):
     """Advances every frontier it holds; machine 0 collects outputs."""
 
     #: Output for rounds >= 1 is a pure function of the incoming
-    #: messages; safe for the fast backend's steady-state memo.
+    #: messages; safe for the simulator's steady-state replay.
     round_oblivious = True
 
     def __init__(
@@ -364,5 +363,5 @@ def build_multichain_protocol(
 
 def run_multichain(setup: MultiChainSetup, oracle: Oracle) -> MPCResult:
     """Simulate; machine 0's output is the K concatenated answers."""
-    sim = make_simulator(setup.mpc_params, setup.machines, oracle=oracle)
+    sim = MPCSimulator(setup.mpc_params, setup.machines, oracle=oracle)
     return sim.run(setup.initial_memories)

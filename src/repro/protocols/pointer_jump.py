@@ -22,8 +22,7 @@ from repro.functions.pointer_jump import PointerJumpInstance
 from repro.obs import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 
 __all__ = [
@@ -38,7 +37,7 @@ class OneRoundPointerJumpMachine(Machine):
     """Walk ``k`` oracle-defined jumps with adaptive queries, in one round."""
 
     #: Output for rounds >= 1 is a pure function of the incoming
-    #: messages; safe for the fast backend's steady-state memo.
+    #: messages; safe for the simulator's steady-state replay.
     round_oblivious = True
 
     def __init__(self, size: int, node_bits: int, count_bits: int) -> None:
@@ -112,5 +111,5 @@ def run_pointer_jump(setup: PointerJumpSetup, oracle: Oracle) -> MPCResult:
             trigger="mpc.run",
             params=pointer_jump_cost_bindings(setup),
         )
-    sim = make_simulator(setup.mpc_params, setup.machines, oracle=oracle)
+    sim = MPCSimulator(setup.mpc_params, setup.machines, oracle=oracle)
     return sim.run(setup.initial_memories)

@@ -21,8 +21,7 @@ from repro.functions.simline import simline_query
 from repro.obs import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
-from repro.engine import make_simulator
-from repro.mpc.simulator import MPCResult
+from repro.mpc.simulator import MPCResult, MPCSimulator
 from repro.oracle.base import Oracle
 from repro.protocols.chain import cyclic_replicated_owners
 from repro.protocols.wire import (
@@ -43,7 +42,7 @@ class SimLinePipelineMachine(Machine):
     """One stage of the pipeline: a contiguous window of pieces."""
 
     #: Output for rounds >= 1 is a pure function of the incoming
-    #: messages; safe for the fast backend's steady-state memo.
+    #: messages; safe for the simulator's steady-state replay.
     round_oblivious = True
 
     def __init__(
@@ -235,5 +234,5 @@ def run_pipeline(setup: PipelineSetup, oracle: Oracle) -> MPCResult:
             trigger="mpc.run",
             params=pipeline_cost_bindings(setup),
         )
-    sim = make_simulator(setup.mpc_params, setup.machines, oracle=oracle)
+    sim = MPCSimulator(setup.mpc_params, setup.machines, oracle=oracle)
     return sim.run(setup.initial_memories)

@@ -119,18 +119,7 @@ class RamMachine:
         With a tracer active, the run emits a ``ram.run`` span carrying
         the final :class:`ExecutionStats`, plus a ``ram.batch`` event
         every :data:`TRACE_BATCH_INSTRUCTIONS` retired instructions.
-
-        Under the ``fast`` backend (``--backend fast`` /
-        ``REPRO_BACKEND=fast``) execution moves to the compiled core in
-        :mod:`repro.engine.fastram`; results, stats, faults, and the
-        trace stream are observably identical to this interpreter.
         """
-        from repro.engine.backend import default_backend
-
-        if default_backend() == "fast":
-            from repro.engine.fastram import run_fast
-
-            return run_fast(self, program, initial_memory)
         tracer = get_tracer()
         traced = tracer.enabled
         run_start = tracer.now() if traced else 0.0

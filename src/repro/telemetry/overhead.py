@@ -1,9 +1,9 @@
 """Observability self-overhead accounting: what does watching cost?
 
-Every claim the ROADMAP's speed arcs will make ("the vectorized
-backend is 10x faster") is measured *through* the tracer -- so the
-tracer's own cost must be a known, subtractable quantity, not folded
-invisibly into experiment wall-clock.  :class:`OverheadMeter` measures
+A speed claim measured *through* the tracer ("the array-backed table
+is 10x faster") includes the tracer's own cost, so that cost must be a
+known, subtractable quantity, not folded invisibly into experiment
+wall-clock.  :class:`OverheadMeter` measures
 it at the single choke point every record passes through:
 :meth:`repro.obs.Tracer._emit` times its fan-out (the in-memory append
 plus every subscriber call -- exporters, monitors, collectors) against

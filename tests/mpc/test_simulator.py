@@ -50,6 +50,58 @@ def mems(params, payloads):
     return out
 
 
+#: The round in which machine 0 wakes the sleepers of :func:`run_woken`.
+WAKE_ROUND = 4
+
+
+class Clock(Machine):
+    """Machine 0: sends every other machine one bit, once."""
+
+    def run_round(self, ctx: RoundContext) -> RoundOutput:
+        if ctx.round == WAKE_ROUND - 1:
+            return RoundOutput(
+                messages={j: Bits(1, 1) for j in range(1, ctx.num_machines)}
+            )
+        return RoundOutput()
+
+
+class Sleeper(Machine):
+    """Idles on one constant self-message until woken, then runs ``act``."""
+
+    def __init__(self, act, round_oblivious: bool):
+        self.act = act
+        self.round_oblivious = round_oblivious
+        self.calls = 0
+
+    def run_round(self, ctx: RoundContext) -> RoundOutput:
+        self.calls += 1
+        if ctx.from_sender(0) is not None:
+            return self.act(ctx)
+        return RoundOutput(messages={ctx.machine_id: Bits(0, 1)})
+
+
+def run_woken(act, error, match, *, sleepers=1, q=None, oracle=None):
+    """Assert that a misbehaviour raises ``error`` with and without replay.
+
+    The misbehaviour ``act`` arrives in :data:`WAKE_ROUND`.  With
+    ``round_oblivious`` set, the sleepers' identical inboxes in rounds
+    2 and 3 are replayed first, so the check runs on the first executed
+    step after a replay.
+    """
+    for round_oblivious in (False, True):
+        machines = [Clock()] + [
+            Sleeper(act, round_oblivious) for _ in range(sleepers)
+        ]
+        params = MPCParams(
+            m=len(machines), s_bits=8, q=q, max_rounds=WAKE_ROUND + 3
+        )
+        sim = MPCSimulator(params, machines, oracle=oracle)
+        with pytest.raises(error, match=match):
+            sim.run([Bits(0, 0)] * len(machines))
+        executed = 3 if round_oblivious else WAKE_ROUND + 1
+        assert [m.calls for m in machines[1:]] == [executed] * sleepers
+
+
 class TestRouting:
     def test_self_message_persists_state(self):
         params = MPCParams(m=1, s_bits=64)
@@ -75,31 +127,23 @@ class TestRouting:
         assert result.combined_output() == Bits.from_str("1001")
 
     def test_invalid_recipient_rejected(self):
-        class Bad(Machine):
-            def run_round(self, ctx):
-                return RoundOutput(messages={99: Bits(0, 1)})
-
-        params = MPCParams(m=1, s_bits=8)
-        with pytest.raises(ProtocolError):
-            MPCSimulator(params, [Bad()]).run([Bits(0, 0)])
+        # Out of range, negative, and keys that are not ints at all.
+        for dst in (99, -1, 1.0, "1", True):
+            run_woken(
+                lambda ctx: RoundOutput(messages={dst: Bits(0, 1)}),
+                ProtocolError, "machine 1 sent a message to invalid",
+            )
 
     def test_non_bits_payload_rejected(self):
-        class Bad(Machine):
-            def run_round(self, ctx):
-                return RoundOutput(messages={0: "oops"})
-
-        params = MPCParams(m=1, s_bits=8)
-        with pytest.raises(ProtocolError):
-            MPCSimulator(params, [Bad()]).run([Bits(0, 0)])
+        # A non-Bits message payload, and a non-Bits output.
+        for bad, match in (
+            (RoundOutput(messages={1: "oops"}), "sent a non-Bits payload"),
+            (RoundOutput(output=5), "output a int, expected Bits"),
+        ):
+            run_woken(lambda ctx: bad, ProtocolError, f"machine 1 {match}")
 
     def test_non_roundoutput_rejected(self):
-        class Bad(Machine):
-            def run_round(self, ctx):
-                return None
-
-        params = MPCParams(m=1, s_bits=8)
-        with pytest.raises(ProtocolError):
-            MPCSimulator(params, [Bad()]).run([Bits(0, 0)])
+        run_woken(lambda ctx: None, ProtocolError, "machine 1 returned")
 
 
 class TestMemoryEnforcement:
@@ -110,27 +154,17 @@ class TestMemoryEnforcement:
             sim.run([Bits.zeros(5)])
 
     def test_incoming_messages_must_fit(self):
-        class Flooder(Machine):
-            def run_round(self, ctx):
-                if ctx.round == 0:
-                    return RoundOutput(messages={0: Bits.zeros(10)})
-                return RoundOutput(halt=True)
-
-        params = MPCParams(m=1, s_bits=8)
-        with pytest.raises(MemoryExceeded):
-            MPCSimulator(params, [Flooder()]).run([Bits(0, 0)])
+        run_woken(
+            lambda ctx: RoundOutput(messages={1: Bits.zeros(10)}),
+            MemoryExceeded, "machine 1 holds 10 bits",
+        )
 
     def test_many_senders_sum_against_s(self):
-        class SprayThenIdle(Machine):
-            def run_round(self, ctx):
-                if ctx.round == 0:
-                    return RoundOutput(messages={0: Bits.zeros(5)})
-                return RoundOutput(halt=True)
-
-        params = MPCParams(m=2, s_bits=8)
-        sim = MPCSimulator(params, [SprayThenIdle(), SprayThenIdle()])
-        with pytest.raises(MemoryExceeded):
-            sim.run([Bits(0, 0), Bits(0, 0)])
+        # Two sleepers send 5 bits each to machine 1: 10 bits > s = 8.
+        run_woken(
+            lambda ctx: RoundOutput(messages={1: Bits.zeros(5)}),
+            MemoryExceeded, "machine 1 holds 10 bits", sleepers=2,
+        )
 
 
 class TestOracleBudget:
@@ -144,11 +178,15 @@ class TestOracleBudget:
         return Querier()
 
     def test_budget_enforced_per_round(self):
-        base = TableOracle(3, 3, list(range(8)))
-        params = MPCParams(m=1, s_bits=8, q=2)
-        sim = MPCSimulator(params, [self.make_querier(3)], oracle=base)
-        with pytest.raises(QueryBudgetExceeded):
-            sim.run([Bits(0, 0)])
+        def query_three(ctx):
+            for i in range(3):
+                ctx.oracle.query(Bits(i, 3))
+            return RoundOutput()
+
+        run_woken(
+            query_three, QueryBudgetExceeded, "machine 1 exceeded q=2",
+            q=2, oracle=TableOracle(3, 3, list(range(8))),
+        )
 
     def test_budget_resets_between_machines(self):
         base = TableOracle(3, 3, list(range(8)))

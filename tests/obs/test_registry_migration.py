@@ -116,11 +116,11 @@ class TestMigration:
             assert record.experiment_id == "E-LINE"
             assert registry.bench_count() == 0
             bench_id = registry.record_bench(BenchResult(
-                experiment_id="E-LINE", wall_s=0.5, backend="fast",
+                experiment_id="E-LINE", wall_s=0.5, suite="full",
             ))
             (row,) = registry.bench_results()
             assert row.bench_id == bench_id
-            assert row.backend == "fast"
+            assert (row.suite, row.wall_s) == ("full", 0.5)
         conn = sqlite3.connect(path)
         assert (
             conn.execute("PRAGMA user_version").fetchone()[0]

@@ -19,11 +19,9 @@ def _write(tmp_path, payload):
     return str(path)
 
 
-def _result(experiment_id="E-LINE", backend="python", wall_s=1.0,
-            rss_peak_kb=None):
+def _result(experiment_id="E-LINE", wall_s=1.0, rss_peak_kb=None):
     return BenchResult(
-        experiment_id=experiment_id, backend=backend, wall_s=wall_s,
-        rss_peak_kb=rss_peak_kb,
+        experiment_id=experiment_id, wall_s=wall_s, rss_peak_kb=rss_peak_kb,
     )
 
 
@@ -69,21 +67,16 @@ class TestLoadBudgets:
 class TestCheckBudgets:
     def _budgets(self):
         return {
-            "E-LINE/fast": Budget("E-LINE/fast", wall_s=0.5),
             "E-LINE": Budget("E-LINE", wall_s=2.0),
             "*": Budget("*", wall_s=10.0, rss_peak_kb=1000.0),
         }
 
     def test_most_specific_rule_wins(self):
         budgets = self._budgets()
-        # 1.0s: over the fast-specific 0.5s, under the generic 2.0s.
-        (v,) = check_budgets(
-            [_result(backend="fast", wall_s=1.0)], budgets
-        )
-        assert v.budget_key == "E-LINE/fast"
-        assert check_budgets(
-            [_result(backend="python", wall_s=1.0)], budgets
-        ) == []
+        # 3.0s: over the experiment's 2.0s, under the catch-all 10.0s.
+        (v,) = check_budgets([_result(wall_s=3.0)], budgets)
+        assert v.budget_key == "E-LINE"
+        assert check_budgets([_result(wall_s=1.0)], budgets) == []
 
     def test_catch_all_applies_to_unlisted_experiments(self):
         budgets = self._budgets()

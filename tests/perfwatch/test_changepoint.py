@@ -16,19 +16,15 @@ from repro.perfwatch import (
 from repro.perfwatch import bench_trend as run_trend  # avoid bench_* collection
 
 
-def _points(values, experiment_id="E-LINE", backend="python"):
+def _points(values, experiment_id="E-LINE"):
     return [
-        BenchPoint(experiment_id=experiment_id, wall_s=v, backend=backend,
-                   ts_utc=f"t{i}")
+        BenchPoint(experiment_id=experiment_id, wall_s=v, ts_utc=f"t{i}")
         for i, v in enumerate(values)
     ]
 
 
-def _series(report, experiment_id="E-LINE", backend="python"):
-    (s,) = [
-        s for s in report.series
-        if s.experiment_id == experiment_id and s.backend == backend
-    ]
+def _series(report, experiment_id="E-LINE"):
+    (s,) = [s for s in report.series if s.experiment_id == experiment_id]
     return s
 
 
@@ -103,13 +99,13 @@ class TestGateEdgeCases:
         report = run_trend(_points([0.5] * 8 + [0.1]))
         assert not _series(report).regressed
 
-    def test_backends_are_separate_series(self):
-        points = _points([0.1] * 8 + [1.0], backend="python") + _points(
-            [0.05] * 9, backend="fast"
+    def test_experiments_are_separate_series(self):
+        points = _points([0.1] * 8 + [1.0]) + _points(
+            [0.05] * 9, experiment_id="E-RAM"
         )
         report = run_trend(points)
-        assert _series(report, backend="python").regressed
-        assert not _series(report, backend="fast").regressed
+        assert _series(report).regressed
+        assert not _series(report, experiment_id="E-RAM").regressed
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="window"):
@@ -130,10 +126,10 @@ class TestGateEdgeCases:
 
 
 class TestHistoryLedger:
-    def _result(self, wall_s, experiment_id="T1", backend="python",
+    def _result(self, wall_s, experiment_id="T1",
                 ts="2026-08-09T00:00:00+00:00"):
         return BenchResult(
-            experiment_id=experiment_id, wall_s=wall_s, backend=backend,
+            experiment_id=experiment_id, wall_s=wall_s,
             ts_utc=ts, git_sha="abc123",
         )
 
@@ -162,12 +158,12 @@ class TestHistoryLedger:
     def test_keep_last_prunes_per_series(self, tmp_path):
         path = str(tmp_path / "hist.json")
         rows = [self._result(i / 10, ts=f"t{i}") for i in range(5)]
-        rows += [self._result(9.0, backend="fast", ts="tf")]
+        rows += [self._result(9.0, experiment_id="E-RAM", ts="tf")]
         append_bench_history(rows, path, keep_last=2)
         points = points_from_history(load_bench_history(path))
-        python_points = [p for p in points if p.backend == "python"]
-        assert [p.wall_s for p in python_points] == [0.3, 0.4]
-        assert len([p for p in points if p.backend == "fast"]) == 1
+        t1_points = [p for p in points if p.experiment_id == "T1"]
+        assert [p.wall_s for p in t1_points] == [0.3, 0.4]
+        assert len([p for p in points if p.experiment_id == "E-RAM"]) == 1
 
     def test_non_numeric_rows_dropped(self):
         rows = [
