@@ -2,7 +2,8 @@
 
 * :mod:`~repro.analysis.montecarlo` -- seeded trial runners;
 * :mod:`~repro.analysis.statistics` -- confidence intervals and the
-  log-log / exponential fits the shape checks use (scipy);
+  log-log / exponential fits the shape checks use (numpy and the
+  standard library);
 * :mod:`~repro.analysis.tables` -- ASCII rendering of the rows each
   benchmark prints.
 """

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.statistics import binomial_ci
+from repro.analysis.statistics import _t_half_width, binomial_ci
 from repro.obs.tracer import TraceRecord, Tracer
 
 __all__ = [
@@ -128,14 +128,9 @@ class WelfordAccumulator:
         """``(mean, low, high)`` of the t-based confidence interval."""
         if self.n == 0:
             raise ValueError("no samples")
-        if self.n == 1:
-            return self.mean, -math.inf, math.inf
-        sem = math.sqrt(self.variance / self.n)
-        if sem == 0.0:
-            return self.mean, self.mean, self.mean
-        from scipy import stats
-
-        half = sem * float(stats.t.ppf((1 + confidence) / 2, self.n - 1))
+        half = _t_half_width(
+            math.sqrt(self.variance / self.n), self.n, confidence
+        )
         return self.mean, self.mean - half, self.mean + half
 
     def stats(self, name: str, confidence: float = 0.95) -> EstimateStats:

@@ -40,17 +40,8 @@ class TableOracle(Oracle):
         self, n_in: int, n_out: int, table: Sequence[int] | np.ndarray
     ) -> None:
         super().__init__(n_in, n_out)
-        if n_in > 30:
-            raise ValueError(
-                f"table oracle over 2^{n_in} entries is impractical; "
-                "use LazyRandomOracle for large domains"
-            )
-        expected = 1 << n_in
-        if len(table) != expected:
-            raise ValueError(
-                f"table has {len(table)} entries, domain needs {expected}"
-            )
-        self._table = _checked_copy(table, n_out)
+        _check_domain(n_in, len(table))
+        self._table = _checked_array(table, n_out, copy=True)
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,8 +53,16 @@ class TableOracle(Oracle):
         """Draw a uniformly random oracle (one sample of the paper's RO)."""
         size = 1 << n_in
         if n_out <= _UINT64_BITS:
+            _check_domain(n_in, size)
             values = rng.integers(0, 1 << n_out, size=size, dtype=np.uint64)
-            return cls(n_in, n_out, values)
+            # Nothing else holds the fresh draw, so keep it rather than
+            # copy it.  A copy doubles each trial's large allocations,
+            # enough for glibc to trim the freed heap top after every
+            # trial and fault it back in on the next one.
+            oracle = cls.__new__(cls)
+            Oracle.__init__(oracle, n_in, n_out)
+            oracle._table = _checked_array(values, n_out, copy=False)
+            return oracle
         # Wide outputs: assemble from 32-bit limbs.
         limbs = (n_out + 31) // 32
         table = []
@@ -155,16 +154,34 @@ class TableOracle(Oracle):
         return hash((self._n_in, self._n_out, self.table))
 
 
-def _checked_copy(table: Sequence[int] | np.ndarray, n_out: int) -> np.ndarray:
-    """A private array copy of ``table``, every entry in ``[0, 2^n_out)``.
+def _check_domain(n_in: int, entries: int) -> None:
+    """Reject domains too large to tabulate and tables of the wrong size."""
+    if n_in > 30:
+        raise ValueError(
+            f"table oracle over 2^{n_in} entries is impractical; "
+            "use LazyRandomOracle for large domains"
+        )
+    expected = 1 << n_in
+    if entries != expected:
+        raise ValueError(
+            f"table has {entries} entries, domain needs {expected}"
+        )
 
-    The copy means a caller that keeps ``table`` cannot change the oracle
-    after the range check.
+
+def _checked_array(
+    table: Sequence[int] | np.ndarray, n_out: int, *, copy: bool
+) -> np.ndarray:
+    """``table`` as an array, every entry in ``[0, 2^n_out)``.
+
+    With ``copy`` the array is private, so a caller that keeps ``table``
+    cannot change the oracle after the range check.  Without it a
+    ``uint64`` array is used as is.
     """
     limit = 1 << n_out
     if n_out <= _UINT64_BITS:
         try:
-            arr = np.array(table, dtype=np.uint64)
+            convert = np.array if copy else np.asarray
+            arr = convert(table, dtype=np.uint64)
             ok = arr.max() < limit
         except OverflowError:  # a Python int below 0 or at least 2^64
             ok = False

@@ -1,5 +1,7 @@
 """Tests for the statistics and Monte-Carlo helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from repro.analysis import (
     run_trials,
     spawn_seeds,
 )
+from repro.analysis.statistics import _t_ppf
+
+BAD_CONFIDENCES = [0.0, 1.0, 1.5, -0.5, math.nan]
 
 
 class TestMeanCI:
@@ -32,6 +37,13 @@ class TestMeanCI:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_ci([])
+
+    @pytest.mark.parametrize("confidence", BAD_CONFIDENCES)
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1, 2, 4], confidence=confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([4.0], confidence=confidence)
 
     def test_coverage(self):
         """~95% of CIs over N(0,1) samples should cover 0."""
@@ -62,6 +74,11 @@ class TestBinomialCI:
             binomial_ci(1, 0)
         with pytest.raises(ValueError):
             binomial_ci(5, 4)
+
+    @pytest.mark.parametrize("confidence", BAD_CONFIDENCES)
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            binomial_ci(3, 10, confidence=confidence)
 
     def test_single_trial(self):
         rate, low, high = binomial_ci(0, 1)
@@ -103,6 +120,20 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_power_law([1, 2], [1])
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([1, 2, 4], [0, 1, 2]),
+            ([1, 2, 4], [1, -2, 4]),
+            ([0, 2, 4], [1, 2, 3]),
+            ([-1, 2, 4], [1, 2, 3]),
+            ([1, 2, math.nan], [1, 2, 3]),
+        ],
+    )
+    def test_power_law_rejects_non_positive_data(self, xs, ys):
+        with pytest.raises(ValueError, match="positive"):
+            fit_power_law(xs, ys)
+
     def test_exponential_decay_exact(self):
         ks = [0, 1, 2, 3, 4]
         ps = [0.8 * 0.5**k for k in ks]
@@ -117,6 +148,23 @@ class TestFits:
     def test_decay_validation(self):
         with pytest.raises(ValueError):
             fit_exponential_decay([1, 2], [0.0, 0.0])
+
+
+class TestStudentTQuantile:
+    @pytest.mark.parametrize(
+        "df, expected",
+        # scipy.stats.t.ppf(0.975, df), scipy 1.17.1
+        [(1, 12.706204736174694), (7, 2.364624251592784),
+         (19, 2.0930240544083087)],
+    )
+    def test_pinned_values(self, df, expected):
+        assert _t_ppf(0.975, df) == pytest.approx(expected, rel=1e-11)
+
+    def test_half_width_uses_n_minus_one_df(self):
+        values = [1.0, 2.0, 4.0, 8.0]
+        _, half = mean_ci(values, confidence=0.9)
+        sem = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert half == pytest.approx(sem * _t_ppf(0.95, 3), rel=1e-15)
 
 
 class TestMonteCarlo:

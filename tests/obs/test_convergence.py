@@ -53,6 +53,17 @@ class TestWelfordAccumulator:
         with pytest.raises(ValueError):
             WelfordAccumulator().interval()
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        acc = WelfordAccumulator()
+        acc.add(1.0)
+        with pytest.raises(ValueError, match="confidence"):
+            acc.interval(confidence)
+        for value in (2.0, 4.0):
+            acc.add(value)
+        with pytest.raises(ValueError, match="confidence"):
+            acc.interval(confidence)
+
 
 class TestWilsonAccumulator:
     def test_matches_binomial_ci(self):

@@ -137,6 +137,12 @@ class TestTableOracle:
     def test_huge_domain_rejected(self):
         with pytest.raises(ValueError):
             TableOracle(31, 4, [])
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="impractical"):
+            TableOracle.sample(31, 4, rng)
+        # Rejected before drawing 2^31 values: the generator is untouched.
+        fresh = np.random.default_rng(0)
+        assert rng.integers(0, 1 << 32) == fresh.integers(0, 1 << 32)
 
     def test_entries_iteration(self):
         ro = TableOracle(2, 3, [1, 2, 3, 4])
