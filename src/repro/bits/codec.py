@@ -54,6 +54,7 @@ class RecordCodec:
         names = [f.name for f in self._fields]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in {names}")
+        self._names = frozenset(names)
         self._total = sum(f.width for f in self._fields)
 
     @property
@@ -80,12 +81,13 @@ class RecordCodec:
         (must match the field width exactly).  Omitted fields default to
         zero -- this is how the paper's ``0^*`` padding is expressed.
         """
-        merged: dict[str, FieldValue] = dict(values or {})
-        merged.update(kwargs)
-        known = {f.name for f in self._fields}
-        unknown = set(merged) - known
-        if unknown:
-            raise KeyError(f"unknown fields: {sorted(unknown)}")
+        # kwargs is already a fresh dict: copy only to merge a mapping in.
+        merged: dict[str, FieldValue] = kwargs
+        if values:
+            merged = dict(values)
+            merged.update(kwargs)
+        if not self._names.issuperset(merged):
+            raise KeyError(f"unknown fields: {sorted(set(merged) - self._names)}")
         acc = 0
         for f in self._fields:
             raw = merged.get(f.name, 0)
@@ -126,11 +128,14 @@ class RecordCodec:
             raise ValueError(
                 f"record has {len(record)} bits, codec expects {self._total}"
             )
+        # The same right-to-left walk as unpack, wrapping each field.
         out: dict[str, Bits] = {}
-        pos = 0
+        raw = record.value
+        shift = self._total
+        make = Bits._make  # shifted and masked: in range for its width
         for f in self._fields:
-            out[f.name] = record[pos : pos + f.width]
-            pos += f.width
+            shift -= f.width
+            out[f.name] = make((raw >> shift) & ((1 << f.width) - 1), f.width)
         return out
 
 

@@ -94,9 +94,38 @@ class ToyMDHash:
         return clone
 
 
+#: The chain state before any block under seed 0, the seed every lazy
+#: oracle query uses.
+_SEED0_STATE = mix64(_IV ^ mix64(0))
+
+
 def toy_hash(data: bytes, *, digest_size: int = 8, seed: int = 0) -> bytes:
-    """One-shot toy hash of ``data``."""
-    return ToyMDHash(data, digest_size=digest_size, seed=seed).digest()
+    """One-shot toy hash of ``data``, bit-identical to
+    ``ToyMDHash(data, digest_size=digest_size, seed=seed).digest()``.
+
+    The same chain as :meth:`ToyMDHash.update` then
+    :meth:`ToyMDHash.digest`, run straight over ``data``: no hash object
+    and no buffer copies.  Below 8 bytes the padded tail is one block.
+    """
+    if digest_size <= 0:
+        raise ValueError(f"digest_size must be positive, got {digest_size}")
+    state = _SEED0_STATE if seed == 0 else mix64(_IV ^ mix64(seed))
+    length = len(data)
+    full = length - length % 8
+    for offset in range(0, full, 8):
+        block = int.from_bytes(data[offset : offset + 8], "little")
+        state = (mix64(state ^ block) + block) & _MASK64
+    # The 0x01 marker ends the tail; its zero fill is the high bytes.
+    block = int.from_bytes(data[full:] + b"\x01", "little")
+    state = (mix64(state ^ block) + block) & _MASK64
+    state = mix64(state ^ length)
+    if digest_size <= 8:
+        return mix64(state).to_bytes(8, "little")[:digest_size]
+    words = b"".join(
+        mix64(state + counter).to_bytes(8, "little")
+        for counter in range((digest_size + 7) // 8)
+    )
+    return words[:digest_size]
 
 
 def toy_hash_batch(

@@ -131,7 +131,13 @@ class MPCSimulator:
         for an executed step.  A step is cached only at round ``>= 1``,
         only if it made zero oracle queries (so the transcript and the
         query budget see every query), and never while span hooks are
-        attached (they want real compute windows).
+        attached (they want real compute windows).  A replayed step
+        therefore leaves the oracle's ``(round, machine)`` context alone:
+        it makes no query, and every executed step sets its own context
+        first.  The chain protocols send an unchanged store back to
+        themselves as the very payload they received, so a steady-state
+        inbox usually equals the cached one by identity, payload for
+        payload, and the comparison never reaches ``Bits.__eq__``.
         """
         params = self._params
         if len(initial_memories) != params.m:
@@ -211,11 +217,12 @@ class MPCSimulator:
                         )
                 if observer is not None:
                     observer(round_k, i, incoming)
-                if oracle is not None:
-                    oracle.set_context(round=round_k, machine=i)
                 if replay:
                     step_dur = 0.0
+                    step_queries = 0
                 else:
+                    if oracle is not None:
+                        oracle.set_context(round=round_k, machine=i)
                     ctx = RoundContext(
                         round=round_k,
                         machine_id=i,
@@ -244,6 +251,9 @@ class MPCSimulator:
                             f"machine {i} output a "
                             f"{type(result.output).__name__}, expected Bits"
                         )
+                    step_queries = (
+                        oracle.queries_in_context() if oracle is not None else 0
+                    )
                 if incoming or result.messages or result.output is not None:
                     active += 1
                 sent_messages = 0
@@ -259,21 +269,19 @@ class MPCSimulator:
                         raise ProtocolError(
                             f"machine {i} sent a non-Bits payload to {dst}"
                         )
+                    payload_bits = len(payload)
                     next_inboxes[dst].append((i, payload))
-                    round_messages += 1
-                    round_message_bits += len(payload)
-                    round_edges.append((i, dst, len(payload)))
+                    round_edges.append((i, dst, payload_bits))
                     sent_messages += 1
-                    sent_bits += len(payload)
+                    sent_bits += payload_bits
                     if traced:
                         # str keys: a JSONL round-trip must reproduce
                         # the in-memory attrs exactly (JSON has no int
                         # keys); the analysis layer int()s them back.
                         key = str(dst)
-                        sent_to[key] = sent_to.get(key, 0) + len(payload)
-                step_queries = (
-                    oracle.queries_in_context() if oracle is not None else 0
-                )
+                        sent_to[key] = sent_to.get(key, 0) + payload_bits
+                round_messages += sent_messages
+                round_message_bits += sent_bits
                 if traced:
                     emit(
                         "mpc.machine_step",

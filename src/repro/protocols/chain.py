@@ -113,12 +113,19 @@ class LineChainMachine(Machine):
         params = self._params
         store: dict[int, Bits] = {}
         frontier: Frontier | None = None
+        # The payload the whole store arrived in, when that payload is one
+        # STORE record: it is sent back as it came (see below).
+        store_payload: Bits | None = None
 
         for _sender, payload in ctx.incoming:
-            for kind, value in decode_records(params, payload):
+            records = decode_records(params, payload)
+            for kind, value in records:
                 if kind is MessageKind.DONE:
                     return RoundOutput(halt=True)
                 if kind is MessageKind.STORE:
+                    store_payload = (
+                        payload if not store and len(records) == 1 else None
+                    )
                     store.update(value)
                 elif kind is MessageKind.FRONTIER:
                     frontier = value
@@ -140,11 +147,19 @@ class LineChainMachine(Machine):
             out.messages[target] = encode_frontier(params, frontier)
 
         if store:
-            self_msg = encode_store(params, sorted(store.items()))
+            # The decoder accepts only canonical stores, so re-encoding an
+            # unchanged store would rebuild the payload it came in, bit for
+            # bit: forward that payload instead.
+            self_msg = (
+                store_payload
+                if store_payload is not None
+                else encode_store(params, sorted(store.items()))
+            )
             prev = out.messages.get(self._id)
             if prev is not None:
-                # Frontier handed to ourselves is impossible (we advance
-                # while the piece is local), but be defensive.
+                # The frontier comes back to us when the query budget q
+                # stalls it on a piece we are the first owner of; it
+                # travels ahead of the store in one payload.
                 out.messages[self._id] = prev + self_msg
             else:
                 out.messages[self._id] = self_msg

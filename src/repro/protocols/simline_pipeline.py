@@ -66,12 +66,19 @@ class SimLinePipelineMachine(Machine):
         params = self._params
         store: dict[int, Bits] = {}
         frontier: Frontier | None = None
+        # As in the chain protocol: a store that arrived as one lone
+        # STORE record is sent back as it came.
+        store_payload: Bits | None = None
 
         for _sender, payload in ctx.incoming:
-            for kind, value in decode_records(params, payload):
+            records = decode_records(params, payload)
+            for kind, value in records:
                 if kind is MessageKind.DONE:
                     return RoundOutput(halt=True)
                 if kind is MessageKind.STORE:
+                    store_payload = (
+                        payload if not store and len(records) == 1 else None
+                    )
                     store.update(value)
                 elif kind is MessageKind.FRONTIER:
                     frontier = value
@@ -92,7 +99,11 @@ class SimLinePipelineMachine(Machine):
             out.messages[target] = encode_frontier(params, frontier)
 
         if store:
-            self_msg = encode_store(params, sorted(store.items()))
+            self_msg = (
+                store_payload
+                if store_payload is not None
+                else encode_store(params, sorted(store.items()))
+            )
             prev = out.messages.get(self._id)
             out.messages[self._id] = (prev + self_msg) if prev else self_msg
         return out

@@ -7,14 +7,18 @@ Every message starts with a 2-bit kind tag:
 * ``DONE``     -- termination broadcast from the finishing machine.
 
 Formats are bit-exact records so the simulator's ``s``-bit memory
-accounting measures what the model measures.
+accounting measures what the model measures.  Each format has exactly
+one encoding: the decoders refuse any field the encoders would refuse,
+and STORE indices must be strictly increasing, so a payload that decodes
+re-encodes to the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Protocol
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Protocol
 
 from repro.bits import BitReader, BitWriter, Bits, bits_needed
 
@@ -47,6 +51,21 @@ class _ChainParams(Protocol):
     u: int
     v: int
     w: int
+
+
+class _Layout(NamedTuple):
+    """The ``(u, v, w)`` part of the parameters that fixes the formats."""
+
+    u: int
+    v: int
+    w: int
+
+
+#: Distinct ``(layout, payload)`` pairs :func:`decode_records` keeps
+#: parsed.  A steady-state chain machine receives its own unchanged store
+#: every round, so a small memo serves most decodes; a larger one only
+#: grows the heap.
+DECODE_MEMO_SIZE = 256
 
 
 def _piece_index_bits(params: _ChainParams) -> int:
@@ -92,48 +111,93 @@ def decode_records(
     a budget-stalled machine sends to itself concatenated with its own
     store).  Returns ``(kind, value)`` pairs where the value is a
     ``{index: piece}`` dict for STORE, a :class:`Frontier` for FRONTIER,
-    and ``None`` for DONE.
+    and ``None`` for DONE.  A malformed record raises ``ValueError``
+    naming the field, a truncated one ``EOFError``.
+
+    Parses are memoized on ``(u, v, w, payload)`` for the last
+    :data:`DECODE_MEMO_SIZE` distinct keys.  Every call returns a new
+    list and new STORE dicts, so callers may mutate what they get.
     """
+    return [
+        (kind, dict(value)) if kind is MessageKind.STORE else (kind, value)
+        for kind, value in _parse_records(params.u, params.v, params.w, payload)
+    ]
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _parse_records(
+    u: int, v: int, w: int, payload: Bits
+) -> tuple[tuple[MessageKind, object], ...]:
+    # The memoized parse behind decode_records; the STORE dicts it keeps
+    # are never handed out.
+    layout = _Layout(u, v, w)
     reader = BitReader(payload)
     records: list[tuple[MessageKind, object]] = []
     while not reader.at_end():
         kind = MessageKind(reader.read(_KIND_BITS))
         if kind is MessageKind.STORE:
-            records.append((kind, _read_store(params, reader)))
+            records.append((kind, _read_store(layout, reader)))
         elif kind is MessageKind.FRONTIER:
-            records.append((kind, _read_frontier(params, reader)))
+            records.append((kind, _read_frontier(layout, reader)))
         else:
             records.append((kind, None))
-    return records
+    return tuple(records)
 
 
 def _read_store(params: _ChainParams, reader: BitReader) -> dict[int, Bits]:
+    v = params.v
     count = reader.read(_count_bits(params))
+    if count > v:
+        raise ValueError(f"STORE count {count} exceeds v={v}")
     idx_bits = _piece_index_bits(params)
+    u = params.u
     out: dict[int, Bits] = {}
+    prev = -1
     for _ in range(count):
         idx = reader.read(idx_bits)
-        out[idx] = reader.read_bits(params.u)
+        if idx >= v:
+            raise ValueError(f"STORE index {idx} out of range for v={v}")
+        if idx <= prev:
+            raise ValueError(
+                f"STORE index {idx} follows index {prev}: indices must be "
+                "strictly increasing"
+            )
+        out[idx] = reader.read_bits(u)
+        prev = idx
     return out
 
 
 def _read_frontier(params: _ChainParams, reader: BitReader) -> Frontier:
     node = reader.read(_node_index_bits(params))
+    if node > params.w:
+        raise ValueError(f"FRONTIER node {node} out of range for w={params.w}")
     pointer = reader.read(_piece_index_bits(params))
+    if pointer >= params.v:
+        raise ValueError(
+            f"FRONTIER pointer {pointer} out of range for v={params.v}"
+        )
     rv = reader.read_bits(params.u)
     return Frontier(node=node, pointer=pointer, r=rv)
 
 
 def encode_store(params: _ChainParams, pieces: Iterable[tuple[int, Bits]]) -> Bits:
-    """Pack ``(piece index, piece value)`` pairs as a STORE message."""
+    """Pack ``(piece index, piece value)`` pairs, in strictly increasing
+    index order, as a STORE message."""
     items = list(pieces)
     w = BitWriter()
     w.write(MessageKind.STORE, _KIND_BITS)
     w.write(len(items), _count_bits(params))
     idx_bits = _piece_index_bits(params)
+    prev = -1
     for idx, value in items:
         if not 0 <= idx < params.v:
             raise ValueError(f"piece index {idx} out of range for v={params.v}")
+        if idx <= prev:
+            raise ValueError(
+                f"piece index {idx} follows index {prev}: indices must be "
+                "strictly increasing"
+            )
+        prev = idx
         if len(value) != params.u:
             raise ValueError(
                 f"piece has {len(value)} bits, expected u={params.u}"

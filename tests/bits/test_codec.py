@@ -54,6 +54,24 @@ class TestRecordCodec:
         assert fields["index"] == Bits.ones(8)
         assert fields["x"] == Bits.zeros(6)
 
+    def test_pack_errors(self, line_query_codec):
+        with pytest.raises(KeyError, match=r"unknown fields: \['bogus', 'zz'\]"):
+            line_query_codec.pack({"zz": 0, "x": 1}, bogus=1)
+        with pytest.raises(ValueError, match="field 'x' expects 6 bits, got 2"):
+            line_query_codec.pack(x=Bits.from_str("10"))
+        with pytest.raises(
+            ValueError, match="value 64 does not fit field 'x' of width 6"
+        ):
+            line_query_codec.pack(x=64)
+        with pytest.raises(
+            ValueError, match="value -1 does not fit field 'r' of width 6"
+        ):
+            line_query_codec.pack(r=-1)
+
+    def test_unpack_bits_wrong_length_rejected(self, line_query_codec):
+        with pytest.raises(ValueError, match="codec expects 24"):
+            line_query_codec.unpack_bits(Bits.zeros(25))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             RecordCodec([Field("a", 1), Field("a", 2)])
@@ -100,6 +118,30 @@ class TestRecordCodec:
         assert len(packed) == sum(widths)
         unpacked = codec.unpack(packed)
         assert tuple(unpacked[f"f{i}"] for i in range(len(widths))) == values
+
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=6).flatmap(
+            lambda widths: st.tuples(
+                st.just(widths), st.integers(0, (1 << sum(widths)) - 1)
+            )
+        )
+    )
+    def test_unpack_bits_matches_slicing(self, layout_and_value):
+        """Per field, ``unpack_bits`` is the slice of the record at that
+        field's offset, and agrees with ``unpack`` (zero widths included)."""
+        widths, value = layout_and_value
+        codec = RecordCodec([Field(f"f{i}", w) for i, w in enumerate(widths)])
+        record = Bits(value, sum(widths))
+        fields = codec.unpack_bits(record)
+        ints = codec.unpack(record)
+        pos = 0
+        for i, width in enumerate(widths):
+            piece = fields[f"f{i}"]
+            assert piece == record[pos : pos + width]
+            assert len(piece) == width
+            assert piece.value == ints[f"f{i}"]
+            pos += width
+        assert list(fields) == [f"f{i}" for i in range(len(widths))]
 
 
 class TestBitStreams:

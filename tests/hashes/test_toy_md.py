@@ -54,6 +54,8 @@ class TestToyHash:
 
         with pytest.raises(ValueError):
             ToyMDHash(digest_size=0)
+        with pytest.raises(ValueError, match="digest_size"):
+            toy_hash(b"x", digest_size=0)
 
     def test_streaming_matches_oneshot(self):
         h = ToyMDHash()
@@ -92,3 +94,25 @@ class TestToyHash:
                 counts[b] += (v >> b) & 1
         for b, c in enumerate(counts):
             assert 0.42 * trials <= c <= 0.58 * trials, (b, c / trials)
+
+
+class TestOneShotMatchesStreaming:
+    """``toy_hash`` runs its own loop; it must stay the streaming hash."""
+
+    @given(
+        st.binary(max_size=64),
+        st.integers(1, 40),
+        st.one_of(st.just(0), st.integers(-(2**70), 2**70)),
+    )
+    def test_equals_streaming_digest(self, data, size, seed):
+        expected = ToyMDHash(data, digest_size=size, seed=seed).digest()
+        assert toy_hash(data, digest_size=size, seed=seed) == expected
+
+    def test_pinned_digests(self):
+        # Literal values: a change to both paths at once still fails.
+        assert toy_hash(b"").hex() == "9a302edda57b9e3f"
+        assert (
+            toy_hash(b"hello world!", digest_size=20).hex()
+            == "731ca26a468f71227a1036f90423c6a6f8f630f5"
+        )
+        assert toy_hash(bytes(range(21)), digest_size=5, seed=7).hex() == "aa94ad8c79"
