@@ -1,10 +1,15 @@
 """Oracle interface and errors.
 
 An oracle is a fixed function ``{0,1}^n_in -> {0,1}^n_out``.  All
-implementations are *functional*: the answer to a query depends only on
-the query (and the oracle's identity), never on query order -- the
-property that lets the RAM evaluator, every MPC machine, and the
-compression argument's re-runs agree on one oracle.
+implementations are *functional*: once a query has been answered, every
+later query of it gets the same answer -- the property that lets the RAM
+evaluator, every MPC machine, and the compression argument's re-runs
+agree on one oracle.  Most oracles fix every answer up front (a PRF
+seed, a hash, a sampled table).  A
+:class:`~repro.oracle.table.LazyTableOracle` fixes each answer at its
+first read, so everyone holding it within a trial sees one function;
+the order of first reads decides which function is drawn, but not its
+distribution.
 """
 
 from __future__ import annotations

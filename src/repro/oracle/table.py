@@ -1,4 +1,4 @@
-"""Explicit truth-table oracle over small domains.
+"""Uniformly random truth tables over small domains, eager and lazy.
 
 A :class:`TableOracle` holds all ``2^n_in`` answers.  Sampling the table
 uniformly *is* drawing ``RO`` from the paper's probability space, so
@@ -11,10 +11,18 @@ entire RO to our encoding" step of the encoders.
 
 The answers live in one private numpy array: ``uint64`` for answers of
 at most 62 bits (every experiment), Python ints in an ``object`` array
-above that.  A Monte-Carlo trial reads a handful of entries of a fresh
-``2^n``-entry table, so for ``uint64`` tables sampling, validation and
+above that, so for ``uint64`` tables sampling, validation and
 (de)serialization are whole-array numpy operations with no per-entry
 Python loop.
+
+A :class:`LazyTableOracle` is the same random function sampled one entry
+at a time: the first read of an entry draws its answer uniformly from
+the generator, and every later read returns that answer.  Since the
+answers are independent and uniform, the function it reveals has the
+distribution of a :meth:`TableOracle.sample` table, whatever the order of
+reads.  A Monte-Carlo trial that reads a handful of entries (the
+skip-ahead adversaries of :mod:`repro.protocols.guessing`) then pays for
+those entries instead of for ``2^n_in`` of them.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from repro.oracle.base import Oracle
 #: ``rng.integers`` call; wider answers are Python ints.
 _UINT64_BITS = 62
 
-__all__ = ["TableOracle"]
+__all__ = ["LazyTableOracle", "TableOracle"]
 
 
 class TableOracle(Oracle):
@@ -52,8 +60,8 @@ class TableOracle(Oracle):
     ) -> "TableOracle":
         """Draw a uniformly random oracle (one sample of the paper's RO)."""
         size = 1 << n_in
+        _check_domain(n_in, size)
         if n_out <= _UINT64_BITS:
-            _check_domain(n_in, size)
             values = rng.integers(0, 1 << n_out, size=size, dtype=np.uint64)
             # Nothing else holds the fresh draw, so keep it rather than
             # copy it.  A copy doubles each trial's large allocations,
@@ -63,15 +71,7 @@ class TableOracle(Oracle):
             Oracle.__init__(oracle, n_in, n_out)
             oracle._table = _checked_array(values, n_out, copy=False)
             return oracle
-        # Wide outputs: assemble from 32-bit limbs.
-        limbs = (n_out + 31) // 32
-        table = []
-        for _ in range(size):
-            acc = 0
-            for _ in range(limbs):
-                acc = (acc << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
-            table.append(acc & ((1 << n_out) - 1))
-        return cls(n_in, n_out, table)
+        return cls(n_in, n_out, [_draw_wide(n_out, rng) for _ in range(size)])
 
     def _evaluate(self, x: Bits) -> Bits:
         # Entries were range-checked against n_out at construction.
@@ -95,15 +95,6 @@ class TableOracle(Oracle):
         """Iterate over all ``(query, answer)`` pairs."""
         for i, v in enumerate(self._table.tolist()):
             yield Bits(i, self._n_in), Bits(v, self._n_out)
-
-    def with_overrides(self, overrides: dict[Bits, Bits]) -> "TableOracle":
-        """A new table oracle with the given entries rewired."""
-        table = self._table.copy()
-        for query, answer in overrides.items():
-            if len(query) != self._n_in or len(answer) != self._n_out:
-                raise ValueError("override dimensions do not match oracle")
-            table[query.value] = answer.value
-        return TableOracle(self._n_in, self._n_out, table)
 
     def serialize(self) -> Bits:
         """The table as one bit string of length ``n_out * 2^n_in``.
@@ -152,6 +143,44 @@ class TableOracle(Oracle):
 
     def __hash__(self) -> int:
         return hash((self._n_in, self._n_out, self.table))
+
+
+class LazyTableOracle(Oracle):
+    """A uniformly random oracle whose entries are drawn on first read.
+
+    The first read of an entry draws its answer from ``rng``, and every
+    later read returns it, directly or through a
+    :class:`~repro.oracle.patched.PatchedOracle` over this oracle.  So
+    everyone holding the oracle sees one function.  The order of first
+    reads decides which function is drawn, not its distribution: each
+    entry is uniform and independent of the others, as in a
+    :meth:`TableOracle.sample` table.  ``rng`` is shared, not copied,
+    and draws the caller makes from it are independent of the answers.
+    """
+
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator) -> None:
+        super().__init__(n_in, n_out)
+        self._rng = rng
+        self._answers: dict[int, int] = {}
+
+    def _evaluate(self, x: Bits) -> Bits:
+        answer = self._answers.get(x.value)
+        if answer is None:
+            n_out = self._n_out
+            if n_out <= _UINT64_BITS:
+                answer = int(self._rng.integers(0, 1 << n_out, dtype=np.uint64))
+            else:
+                answer = _draw_wide(n_out, self._rng)
+            self._answers[x.value] = answer
+        return Bits._make(answer, self._n_out)
+
+
+def _draw_wide(n_out: int, rng: np.random.Generator) -> int:
+    """One uniform answer wider than ``uint64``, from 32-bit limbs."""
+    acc = 0
+    for _ in range((n_out + 31) // 32):
+        acc = (acc << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
+    return acc & ((1 << n_out) - 1)
 
 
 def _check_domain(n_in: int, entries: int) -> None:

@@ -55,7 +55,7 @@ __all__ = [
 #: The quick tier: experiments whose quick-scale run takes between the
 #: trend gate's 5 ms noise floor and about two seconds, spanning the MPC
 #: protocols, the word-RAM interpreter, the encoders and the Monte-Carlo
-#: trials (E-GUESS samples a fresh truth table per trial).  The
+#: trials (E-GUESS samples a fresh random oracle per trial).  The
 #: closed-form T1 and E-BOUND finish in ~0.1 ms, too fast for the gate
 #: to ever fire on.
 _QUICK = (

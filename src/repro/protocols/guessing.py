@@ -21,15 +21,20 @@ Strategies:
   correlated information; the patched entry's answer is independent, so
   the bound still applies).
 
-Each trial draws a fresh ``TableOracle`` -- a fresh sample of the
-paper's probability space -- so the measured frequency is an unbiased
-estimate of the lemma's probability at the same (small) ``u``.
+Each trial draws a fresh uniform oracle -- a fresh sample of the paper's
+probability space -- so the measured frequency is an unbiased estimate
+of the lemma's probability at the same (small) ``u``.  A trial reads
+at most the ``w`` chain entries (twice that for ``"rerun"``), so the oracle
+is a :class:`~repro.oracle.table.LazyTableOracle` that draws each entry
+on first read rather than a ``2^n``-entry table.
 
 Trials are independent by construction: each one derives its own RNG
 from :func:`repro.parallel.trial_seed` keyed on the caller's ``seed``
 (the family selector), strategy, and trial index, and the drivers fan
 them out with :func:`repro.parallel.map_trials` -- ``jobs=N`` returns
-bit-identical reports to a serial run.
+bit-identical reports to a serial run.  Within a trial the input ``X``
+is drawn from that RNG first and the oracle draws from it afterwards,
+so ``X`` never depends on which entries the trial goes on to read.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from repro.functions.simline import simline_query, trace_simline
 from repro.functions.params import SimLineParams
 from repro.functions.inputs import sample_input
 from repro.obs import get_tracer
-from repro.oracle.table import TableOracle
+from repro.oracle.patched import PatchedOracle
+from repro.oracle.table import LazyTableOracle
 from repro.parallel import map_trials, seed_sequence
 
 __all__ = ["GuessingReport", "estimate_line_skip_probability", "estimate_simline_skip_probability"]
@@ -104,8 +110,8 @@ def line_skip_trial(
 ) -> bool:
     """One Lemma 3.3 trial: did the skip-ahead guess hit entry ``skip_at+1``?"""
     rng = np.random.default_rng(seed)
-    oracle = TableOracle.sample(params.n, params.n, rng)
     x = sample_input(params, rng)
+    oracle = LazyTableOracle(params.n, params.n, rng)
     trace = trace_line(params, x, oracle)
     target = trace.nodes[skip_at + 1]
 
@@ -113,10 +119,13 @@ def line_skip_trial(
     if strategy == "rerun":
         # Re-run against an oracle whose entry `skip_at` is resampled:
         # everything the adversary can simulate without the true entry.
+        # The patch shares first reads with `oracle`, so it agrees with
+        # the true oracle everywhere else, even on entries only the
+        # re-run reads.
         hidden = trace.nodes[skip_at].query
         fresh = _random_bits(params.n, rng)
         rerun_trace = trace_line(
-            params, x, oracle.with_overrides({hidden: fresh})
+            params, x, PatchedOracle(oracle, {hidden: fresh})
         )
         rerun_value = rerun_trace.nodes[skip_at + 1].r
 
@@ -133,8 +142,8 @@ def simline_skip_trial(
 ) -> bool:
     """One Lemma A.7 trial (the ``SimLine`` twin of :func:`line_skip_trial`)."""
     rng = np.random.default_rng(seed)
-    oracle = TableOracle.sample(params.n, params.n, rng)
     x = sample_input(params, rng)
+    oracle = LazyTableOracle(params.n, params.n, rng)
     trace = trace_simline(params, x, oracle)
     target = trace.nodes[skip_at + 1]
 
@@ -143,7 +152,7 @@ def simline_skip_trial(
         hidden = trace.nodes[skip_at].query
         fresh = _random_bits(params.n, rng)
         rerun_trace = trace_simline(
-            params, x, oracle.with_overrides({hidden: fresh})
+            params, x, PatchedOracle(oracle, {hidden: fresh})
         )
         rerun_value = rerun_trace.nodes[skip_at + 1].r
 

@@ -1,11 +1,13 @@
 """Tests for the skip-ahead adversaries (Lemma 3.3 / A.7 Monte Carlo)."""
 
+import numpy as np
 import pytest
 
-from repro.functions import LineParams, SimLineParams
+from repro.functions import LineParams, SimLineParams, sample_input
 from repro.protocols import (
     estimate_line_skip_probability,
     estimate_simline_skip_probability,
+    guessing,
 )
 
 
@@ -90,3 +92,80 @@ class TestSimLineGuessing:
     def test_trials_validation(self, params, trials):
         with pytest.raises(ValueError, match="trials"):
             estimate_simline_skip_probability(params, trials=trials, skip_at=2)
+
+
+_TRIALS = pytest.mark.parametrize(
+    "trial, tracer, params",
+    [
+        ("line_skip_trial", "trace_line", LineParams(n=14, u=3, v=4, w=6)),
+        ("simline_skip_trial", "trace_simline", SimLineParams(n=9, u=3, v=4, w=6)),
+    ],
+    ids=["line", "simline"],
+)
+
+
+def _record_traces(monkeypatch, tracer: str) -> list:
+    """Wrap ``guessing.<tracer>``; each call appends ``(x, oracle, trace)``."""
+    runs = []
+    real = getattr(guessing, tracer)
+
+    def spy(p, x, oracle):
+        trace = real(p, x, oracle)
+        runs.append((list(x), oracle, trace))
+        return trace
+
+    monkeypatch.setattr(guessing, tracer, spy)
+    return runs
+
+
+class TestTrialStream:
+    """One generator per trial: the input first, then the lazy oracle."""
+
+    @_TRIALS
+    def test_input_does_not_depend_on_oracle_reads(
+        self, monkeypatch, trial, tracer, params
+    ):
+        # The strategies read different oracle entries (rerun reads a
+        # whole second chain), yet each trial seed fixes one input: the
+        # first draws of the trial's generator.
+        runs = _record_traces(monkeypatch, tracer)
+        for seed in (0, 1, 2**40 + 5):
+            expected = sample_input(params, np.random.default_rng(seed))
+            for strategy in ("uniform", "zero", "rerun"):
+                runs.clear()
+                getattr(guessing, trial)(params, 2, strategy, seed)
+                assert runs and all(x == expected for x, _, _ in runs)
+
+    @_TRIALS
+    def test_rerun_oracle_differs_only_at_the_hidden_entry(
+        self, monkeypatch, trial, tracer, params
+    ):
+        runs = _record_traces(monkeypatch, tracer)
+        for seed in range(20):
+            runs.clear()
+            getattr(guessing, trial)(params, 2, "rerun", seed)
+            (_, true_oracle, true_trace), (_, rerun_oracle, rerun_trace) = runs
+            hidden = true_trace.nodes[2].query
+            assert list(rerun_oracle.overrides) == [hidden]
+            for node in rerun_trace.nodes:
+                if node.query != hidden:
+                    # Also on entries the re-run is the first to read.
+                    assert node.answer == true_oracle.query(node.query)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "rerun"])
+    @pytest.mark.parametrize(
+        "estimate, params",
+        [
+            (estimate_line_skip_probability, LineParams(n=14, u=3, v=4, w=6)),
+            (estimate_simline_skip_probability,
+             SimLineParams(n=9, u=3, v=4, w=6)),
+        ],
+        ids=["line", "simline"],
+    )
+    def test_parallel_matches_serial(self, estimate, params, strategy):
+        reports = [
+            estimate(params, trials=200, skip_at=2, strategy=strategy,
+                     seed=7, jobs=jobs)
+            for jobs in (1, 2)
+        ]
+        assert reports[0] == reports[1]
