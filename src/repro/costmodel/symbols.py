@@ -82,19 +82,19 @@ def log2p(x):
 
 
 def piece_index_bits(v):
-    """``wire._piece_index_bits``: ``max(bits_needed(v), 1)``."""
+    """``wire._layout(...).piece_bits``: ``max(bits_needed(v), 1)``."""
     sp = require_sympy()
     return sp.Max(bits_needed(v), 1)
 
 
 def count_bits(v):
-    """``wire._count_bits``: ``max(bits_needed(v + 1), 1)``."""
+    """``wire._layout(...).count_bits``: ``max(bits_needed(v + 1), 1)``."""
     sp = require_sympy()
     return sp.Max(bits_needed(v + 1), 1)
 
 
 def node_index_bits(w):
-    """``wire._node_index_bits``: ``bits_needed(w + 1)``."""
+    """``wire._layout(...).node_bits``: ``bits_needed(w + 1)``."""
     return bits_needed(w + 1)
 
 

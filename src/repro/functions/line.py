@@ -63,12 +63,26 @@ class LineTrace:
 
 
 def line_query(params: LineParams, i: int, x_piece: Bits, r: Bits) -> Bits:
-    """Pack the query ``(i, x_{l_i}, r_i, 0^*)`` for node ``i``."""
-    if len(x_piece) != params.u:
-        raise ValueError(f"x piece has {len(x_piece)} bits, expected u={params.u}")
-    if len(r) != params.u:
-        raise ValueError(f"r has {len(r)} bits, expected u={params.u}")
-    return params.query_codec.pack(index=i, x=x_piece, r=r)
+    """Pack the query ``(i, x_{l_i}, r_i, 0^*)`` for node ``i``.
+
+    Bit for bit ``params.query_codec.pack(index=i, x=x_piece, r=r)``,
+    with the same checks, packed with :attr:`LineParams.query_shifts`.
+    """
+    u = params.u
+    if len(x_piece) != u:
+        raise ValueError(f"x piece has {len(x_piece)} bits, expected u={u}")
+    if len(r) != u:
+        raise ValueError(f"r has {len(r)} bits, expected u={u}")
+    index_shift, x_shift, r_shift = params.query_shifts
+    n = params.n
+    if i < 0 or i >> (n - index_shift):
+        raise ValueError(
+            f"value {i} does not fit field 'index' of width {n - index_shift}"
+        )
+    # Every field is checked in range for its width.
+    return Bits._make(
+        (i << index_shift) | (x_piece.value << x_shift) | (r.value << r_shift), n
+    )
 
 
 def _check_input(params: LineParams, x: Sequence[Bits]) -> None:
@@ -102,10 +116,8 @@ def trace_line(params: LineParams, x: Sequence[Bits], oracle: Oracle) -> LineTra
     for i in range(params.w):
         query = line_query(params, i, x[ell], r)
         answer = oracle.query(query)
-        fields = params.answer_codec.unpack_bits(answer)
         nodes.append(LineNode(i=i, ell=ell, r=r, query=query, answer=answer))
-        ell = params.ell_of_answer(fields["ell"].value)
-        r = fields["r"]
+        ell, r = params.next_node(answer)
     return LineTrace(params=params, nodes=tuple(nodes), output=answer)
 
 
@@ -115,10 +127,7 @@ def evaluate_line(params: LineParams, x: Sequence[Bits], oracle: Oracle) -> Bits
     ell = 0
     r = Bits.zeros(params.u)
     answer = Bits.zeros(params.n)
-    codec = params.answer_codec
     for i in range(params.w):
         answer = oracle.query(line_query(params, i, x[ell], r))
-        fields = codec.unpack_bits(answer)
-        ell = params.ell_of_answer(fields["ell"].value)
-        r = fields["r"]
+        ell, r = params.next_node(answer)
     return answer

@@ -20,9 +20,17 @@ indices are 0-based, so the first node uses ``l_1 = 0`` (the paper's
 ``l_1 = 1``) and ``SimLine`` node ``i`` (0-based) uses piece
 ``x_{i mod v}``.  ``v`` must be a power of two so that the ``l`` field of
 a uniform answer is itself uniform over ``[v]`` -- at other ``v`` the
-paper's "``l_i`` uniform" statement would need rejection sampling; the
-constructor enforces the power of two and the docstring of
-:meth:`LineParams.validate` records why.
+paper's "``l_i`` uniform" statement would need rejection sampling; both
+constructors enforce the power of two through ``_check_common``, whose
+error message records why.
+
+The codecs (:attr:`LineParams.query_codec`, :attr:`LineParams.answer_codec`
+and their ``SimLine`` twins) are the reference layouts.  The chain
+evaluators and protocols pack a query and parse an answer once per node,
+so each family also has one fast path over the same layout, with shifts
+and masks computed once per parameter object: :attr:`LineParams.query_shifts`
+for packing and :meth:`LineParams.next_node` (:meth:`SimLineParams.next_r`)
+for parsing.  The tests require both paths to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.bits import Field, RecordCodec, bits_needed
+from repro.bits import Bits, Field, RecordCodec, bits_needed
 
 __all__ = ["LineParams", "SimLineParams"]
 
@@ -146,6 +154,39 @@ class LineParams:
         """
         return answer_value_ell & (self.v - 1)
 
+    @cached_property
+    def query_shifts(self) -> tuple[int, int, int]:
+        """Left shifts of the ``i``, ``x`` and ``r`` fields in a query
+        (:attr:`query_codec`'s layout)."""
+        r_shift = self.pad_width
+        return r_shift + 2 * self.u, r_shift + self.u, r_shift
+
+    @cached_property
+    def _answer_fields(self) -> tuple[int, int, int, int, int]:
+        # (n, ell shift, ell mask, r shift, r mask) of answer_codec's
+        # layout; the ell mask folds in ell_of_answer's ``& (v - 1)``.
+        r_shift = self.z_width
+        return self.n, r_shift + self.u, self.v - 1, r_shift, (1 << self.u) - 1
+
+    def next_node(self, answer: Bits) -> tuple[int, Bits]:
+        """Parse an oracle answer ``(l, r, z)`` into the next node's
+        pointer and running value.
+
+        Equal to ``answer_codec.unpack_bits(answer)`` followed by
+        :meth:`ell_of_answer` on the ``l`` field, with the same error for
+        an answer that is not ``n`` bits long.
+        """
+        n, ell_shift, ell_mask, r_shift, r_mask = self._answer_fields
+        if len(answer) != n:
+            raise ValueError(
+                f"record has {len(answer)} bits, codec expects {n}"
+            )
+        raw = answer.value
+        # Shifted and masked: in range for u bits.
+        return (raw >> ell_shift) & ell_mask, Bits._make(
+            (raw >> r_shift) & r_mask, self.u
+        )
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -231,6 +272,31 @@ class SimLineParams:
     def answer_codec(self) -> RecordCodec:
         """The ``(r, z)`` answer layout."""
         return RecordCodec([Field("r", self.u), Field("z", self.z_width)])
+
+    @cached_property
+    def query_shifts(self) -> tuple[int, int]:
+        """Left shifts of the ``x`` and ``r`` fields in a query
+        (:attr:`query_codec`'s layout)."""
+        return self.pad_width + self.u, self.pad_width
+
+    @cached_property
+    def _answer_fields(self) -> tuple[int, int, int]:
+        # (n, r shift, r mask) of answer_codec's layout.
+        return self.n, self.z_width, (1 << self.u) - 1
+
+    def next_r(self, answer: Bits) -> Bits:
+        """Parse an oracle answer ``(r, z)`` into the next running value.
+
+        Equal to ``answer_codec.unpack_bits(answer)["r"]``, with the same
+        error for an answer that is not ``n`` bits long.
+        """
+        n, r_shift, r_mask = self._answer_fields
+        if len(answer) != n:
+            raise ValueError(
+                f"record has {len(answer)} bits, codec expects {n}"
+            )
+        # Shifted and masked: in range for u bits.
+        return Bits._make((answer.value >> r_shift) & r_mask, self.u)
 
     def piece_index(self, i: int) -> int:
         """The piece used by 0-based node ``i``: ``i mod v``."""

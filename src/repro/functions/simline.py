@@ -56,12 +56,21 @@ class SimLineTrace:
 
 
 def simline_query(params: SimLineParams, x_piece: Bits, r: Bits) -> Bits:
-    """Pack the query ``(x_{i mod v}, r_i, 0^*)``."""
-    if len(x_piece) != params.u:
-        raise ValueError(f"x piece has {len(x_piece)} bits, expected u={params.u}")
-    if len(r) != params.u:
-        raise ValueError(f"r has {len(r)} bits, expected u={params.u}")
-    return params.query_codec.pack(x=x_piece, r=r)
+    """Pack the query ``(x_{i mod v}, r_i, 0^*)``.
+
+    Bit for bit ``params.query_codec.pack(x=x_piece, r=r)``, with the
+    same checks, packed with :attr:`SimLineParams.query_shifts`.
+    """
+    u = params.u
+    if len(x_piece) != u:
+        raise ValueError(f"x piece has {len(x_piece)} bits, expected u={u}")
+    if len(r) != u:
+        raise ValueError(f"r has {len(r)} bits, expected u={u}")
+    x_shift, r_shift = params.query_shifts
+    # Both fields are checked in range for their widths.
+    return Bits._make(
+        (x_piece.value << x_shift) | (r.value << r_shift), params.n
+    )
 
 
 def _check_input(params: SimLineParams, x: Sequence[Bits]) -> None:
@@ -92,7 +101,7 @@ def trace_simline(
         query = simline_query(params, x[piece], r)
         answer = oracle.query(query)
         nodes.append(SimLineNode(i=i, piece=piece, r=r, query=query, answer=answer))
-        r = params.answer_codec.unpack_bits(answer)["r"]
+        r = params.next_r(answer)
     return SimLineTrace(params=params, nodes=tuple(nodes), output=answer)
 
 
@@ -103,8 +112,7 @@ def evaluate_simline(
     _check_input(params, x)
     r = Bits.zeros(params.u)
     answer = Bits.zeros(params.n)
-    codec = params.answer_codec
     for i in range(params.w):
         answer = oracle.query(simline_query(params, x[params.piece_index(i)], r))
-        r = codec.unpack_bits(answer)["r"]
+        r = params.next_r(answer)
     return answer

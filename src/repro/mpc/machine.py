@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.bits import Bits
 from repro.mpc.tape import SharedTape
@@ -26,9 +27,12 @@ from repro.oracle.base import Oracle
 __all__ = ["Machine", "RoundContext", "RoundOutput"]
 
 
-@dataclass(frozen=True)
-class RoundContext:
-    """Everything machine ``i`` can see during round ``k``."""
+class RoundContext(NamedTuple):
+    """Everything machine ``i`` can see during round ``k``.
+
+    A named tuple: the simulator builds one per executed machine step,
+    and no immutable record is cheaper to build.
+    """
 
     round: int
     machine_id: int
@@ -73,8 +77,9 @@ class Machine(ABC):
     #: (plus the oracle and tape, which are themselves functional): it
     #: reads ``ctx.round`` only to detect round 0 and carries no mutable
     #: state across rounds.  :meth:`repro.mpc.MPCSimulator.run` replays
-    #: a machine's previous output for a repeated inbox only when it opts
-    #: in here; the default is the safe ``False``.  The simulator trusts
+    #: the output of an earlier zero-query step (not necessarily the
+    #: latest) for a repeated inbox only when a machine opts in here;
+    #: the default is the safe ``False``.  The simulator trusts
     #: this declaration and does not check it.
     round_oblivious: bool = False
 

@@ -120,30 +120,50 @@ class MPCSimulator:
         additionally see each machine's local computation as an
         ``mpc.machine_step`` window.
 
+        Every share must be a :class:`Bits` (else :class:`ProtocolError`)
+        that fits in ``s`` bits (else :class:`MemoryExceeded`).
+
         **Steady-state replay.**  Machines are memoryless across rounds
-        (Definition 2.1), so a machine whose class declares
-        :attr:`~repro.mpc.machine.Machine.round_oblivious` and whose
-        inbox at round ``k >= 1`` equals the inbox of its last executed
-        step must return the same :class:`RoundOutput`.  The simulator
-        then reuses the cached output instead of calling ``run_round``;
-        the observer, routing, :class:`RoundStats`, the traced
-        ``mpc.machine_step`` event (with ``dur=0.0``) and halting run as
-        for an executed step.  A step is cached only at round ``>= 1``,
-        only if it made zero oracle queries (so the transcript and the
-        query budget see every query), and never while span hooks are
-        attached (they want real compute windows).  A replayed step
-        therefore leaves the oracle's ``(round, machine)`` context alone:
-        it makes no query, and every executed step sets its own context
-        first.  The chain protocols send an unchanged store back to
-        themselves as the very payload they received, so a steady-state
-        inbox usually equals the cached one by identity, payload for
-        payload, and the comparison never reaches ``Bits.__eq__``.
+        (Definition 2.1), so from round 1 on the output of a machine
+        whose class declares
+        :attr:`~repro.mpc.machine.Machine.round_oblivious` is a pure
+        function of its inbox.  Each such machine keeps one replay slot
+        holding its last *cacheable* step: one at round ``>= 1`` that
+        made zero oracle queries (so the transcript and the query budget
+        see every query), run while no span hooks are attached (they
+        want real compute windows).  A later step that does not qualify
+        leaves the slot as it is, since any cached step is as valid as
+        the most recent one.  When a machine's inbox equals the inbox of
+        its cached step, the simulator reuses that step instead of
+        calling ``run_round``.  An executed step's checks (the ``s``
+        check, the :class:`RoundOutput` and output types, each
+        destination and payload) also build its routing plan: the inbox
+        entries it delivers, its ``(sender, receiver, bits)`` edges, its
+        message and bit counts, and, when traced, its ``sent_to`` map.
+        A replay routes from that plan without checking the same output
+        again; the observer, :class:`RoundStats`, the traced
+        ``mpc.machine_step`` event (with ``dur=0.0`` and a fresh
+        ``sent_to`` dict), outputs and halting run as for an executed
+        step, in the same order.  A replayed step leaves the oracle's
+        ``(round, machine)`` context alone: it makes no query, and every
+        executed step sets its own context first.  The chain protocols
+        send an unchanged store back to themselves as the very payload
+        they received, and a replay delivers the very entries of its
+        plan, so a steady-state inbox usually equals the cached one
+        payload for payload by identity, and the comparison never
+        reaches ``Bits.__eq__``.
         """
         params = self._params
         if len(initial_memories) != params.m:
             raise ValueError(
                 f"need {params.m} initial memories, got {len(initial_memories)}"
             )
+        for i, mem in enumerate(initial_memories):
+            if not isinstance(mem, Bits):
+                raise ProtocolError(
+                    f"machine {i} was given a non-Bits initial memory "
+                    f"({type(mem).__name__})"
+                )
         tracer = get_tracer()
         traced = tracer.enabled
         hooked = traced and tracer.has_span_hooks
@@ -181,8 +201,11 @@ class MPCSimulator:
         tape = self._tape
         now = tracer.now
         emit = tracer.event
-        # One replay slot per machine: (incoming, incoming_bits, result)
-        # of its last executed step, or None when it may not be replayed.
+        # One replay slot per machine: (incoming, incoming_bits, result,
+        # plan) of its last cacheable step, or None before it has one.
+        # The plan is the routing that step's checks produced:
+        # ((dst, (i, payload)) entries, (i, dst, bits) edges, message
+        # count, bit count, and the sent_to map when traced).
         replayable = [
             machine.round_oblivious and not hooked for machine in machines
         ]
@@ -205,9 +228,19 @@ class MPCSimulator:
             for i, machine in enumerate(machines):
                 incoming = tuple(inboxes[i])
                 cached = memo[i]
-                replay = cached is not None and cached[0] == incoming
-                if replay:
-                    _, incoming_bits, result = cached
+                if cached is not None and cached[0] == incoming:
+                    # Replay: the cached step's output, already checked,
+                    # routed by its plan.
+                    _, incoming_bits, result, plan = cached
+                    entries, edges, sent_messages, sent_bits, sent_to = plan
+                    if observer is not None:
+                        observer(round_k, i, incoming)
+                    for dst, entry in entries:
+                        next_inboxes[dst].append(entry)
+                    if traced:
+                        step_dur = 0.0
+                        step_queries = 0
+                        sent_to = dict(sent_to)
                 else:
                     incoming_bits = sum(len(p) for _, p in incoming)
                     if incoming_bits > s_bits:
@@ -215,22 +248,11 @@ class MPCSimulator:
                             f"machine {i} holds {incoming_bits} bits at round "
                             f"{round_k}, local memory is s={s_bits}"
                         )
-                if observer is not None:
-                    observer(round_k, i, incoming)
-                if replay:
-                    step_dur = 0.0
-                    step_queries = 0
-                else:
+                    if observer is not None:
+                        observer(round_k, i, incoming)
                     if oracle is not None:
                         oracle.set_context(round=round_k, machine=i)
-                    ctx = RoundContext(
-                        round=round_k,
-                        machine_id=i,
-                        num_machines=m,
-                        incoming=incoming,
-                        oracle=oracle,
-                        tape=tape,
-                    )
+                    ctx = RoundContext(round_k, i, m, incoming, oracle, tape)
                     if traced:
                         step_start = now()
                         if hooked:
@@ -254,32 +276,46 @@ class MPCSimulator:
                     step_queries = (
                         oracle.queries_in_context() if oracle is not None else 0
                     )
+                    entries = []
+                    edges = []
+                    sent_bits = 0
+                    sent_to: dict[str, int] = {}
+                    for dst, payload in result.messages.items():
+                        if type(dst) is not int or not 0 <= dst < m:
+                            raise ProtocolError(
+                                f"machine {i} sent a message to invalid "
+                                f"machine {dst!r}"
+                            )
+                        if not isinstance(payload, Bits):
+                            raise ProtocolError(
+                                f"machine {i} sent a non-Bits payload to {dst}"
+                            )
+                        payload_bits = len(payload)
+                        entry = (i, payload)
+                        next_inboxes[dst].append(entry)
+                        entries.append((dst, entry))
+                        edges.append((i, dst, payload_bits))
+                        sent_bits += payload_bits
+                        if traced:
+                            # str keys: a JSONL round-trip must reproduce
+                            # the in-memory attrs exactly (JSON has no int
+                            # keys); the analysis layer int()s them back.
+                            key = str(dst)
+                            sent_to[key] = sent_to.get(key, 0) + payload_bits
+                    sent_messages = len(entries)
+                    if replayable[i] and round_k and not step_queries:
+                        # The plan keeps its own sent_to: the one built
+                        # here goes out with this step's event.
+                        memo[i] = (
+                            incoming,
+                            incoming_bits,
+                            result,
+                            (entries, edges, sent_messages, sent_bits,
+                             dict(sent_to)),
+                        )
+                round_edges.extend(edges)
                 if incoming or result.messages or result.output is not None:
                     active += 1
-                sent_messages = 0
-                sent_bits = 0
-                sent_to: dict[str, int] = {}
-                for dst, payload in result.messages.items():
-                    if type(dst) is not int or not 0 <= dst < m:
-                        raise ProtocolError(
-                            f"machine {i} sent a message to invalid machine "
-                            f"{dst!r}"
-                        )
-                    if not isinstance(payload, Bits):
-                        raise ProtocolError(
-                            f"machine {i} sent a non-Bits payload to {dst}"
-                        )
-                    payload_bits = len(payload)
-                    next_inboxes[dst].append((i, payload))
-                    round_edges.append((i, dst, payload_bits))
-                    sent_messages += 1
-                    sent_bits += payload_bits
-                    if traced:
-                        # str keys: a JSONL round-trip must reproduce
-                        # the in-memory attrs exactly (JSON has no int
-                        # keys); the analysis layer int()s them back.
-                        key = str(dst)
-                        sent_to[key] = sent_to.get(key, 0) + payload_bits
                 round_messages += sent_messages
                 round_message_bits += sent_bits
                 if traced:
@@ -293,12 +329,6 @@ class MPCSimulator:
                         sent_bits=sent_bits,
                         sent_to=sent_to,
                         oracle_queries=step_queries,
-                    )
-                if not replay:
-                    memo[i] = (
-                        (incoming, incoming_bits, result)
-                        if replayable[i] and round_k and not step_queries
-                        else None
                     )
                 if result.output is not None:
                     outputs[i] = result.output

@@ -12,8 +12,7 @@ any oracle with exactly that bookkeeping: an ordered transcript of
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.bits import Bits
 from repro.obs import get_tracer
@@ -39,9 +38,11 @@ def query_key(x: Bits) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One transcript entry: which query, when, by whom, and its answer."""
+class QueryRecord(NamedTuple):
+    """One transcript entry: which query, when, by whom, and its answer.
+
+    A named tuple, because one is built per oracle query.
+    """
 
     position: int
     round: int
@@ -120,13 +121,7 @@ class CountingOracle(Oracle):
         repeat = x in self._seen
         self._seen.add(x)
         self._transcript.append(
-            QueryRecord(
-                position=position,
-                round=self._round,
-                machine=self._machine,
-                query=x,
-                answer=answer,
-            )
+            QueryRecord(position, self._round, self._machine, x, answer)
         )
         self._in_context += 1
         if tracer.enabled:
@@ -170,13 +165,7 @@ class CountingOracle(Oracle):
             repeat = x in seen
             seen.add(x)
             transcript.append(
-                QueryRecord(
-                    position=position,
-                    round=self._round,
-                    machine=self._machine,
-                    query=x,
-                    answer=answer,
-                )
+                QueryRecord(position, self._round, self._machine, x, answer)
             )
             self._in_context += 1
             if traced:

@@ -183,12 +183,7 @@ class LineChainMachine(Machine):
             )
             answer = ctx.oracle.query(query)
             queries += 1
-            fields = params.answer_codec.unpack_bits(answer)
-            frontier = Frontier(
-                node=frontier.node + 1,
-                pointer=params.ell_of_answer(fields["ell"].value),
-                r=fields["r"],
-            )
+            frontier = Frontier(frontier.node + 1, *params.next_node(answer))
         return frontier, answer
 
 

@@ -85,12 +85,7 @@ class FullMemoryMachine(Machine):
             answer = ctx.oracle.query(
                 line_query(params, frontier.node, store[frontier.pointer], frontier.r)
             )
-            fields = params.answer_codec.unpack_bits(answer)
-            frontier = Frontier(
-                node=frontier.node + 1,
-                pointer=params.ell_of_answer(fields["ell"].value),
-                r=fields["r"],
-            )
+            frontier = Frontier(frontier.node + 1, *params.next_node(answer))
         return RoundOutput(
             output=answer,
             messages={j: encode_done() for j in range(ctx.num_machines)},

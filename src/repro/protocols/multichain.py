@@ -93,9 +93,7 @@ def evaluate_instance(
     base = instance * layout.w_each
     for i in range(layout.w_each):
         answer = oracle.query(line_query(params, base + i, x[ell], r))
-        fields = params.answer_codec.unpack_bits(answer)
-        ell = params.ell_of_answer(fields["ell"].value)
-        r = fields["r"]
+        ell, r = params.next_node(answer)
     return answer
 
 
@@ -252,15 +250,13 @@ class MultiChainMachine(Machine):
             answer = ctx.oracle.query(
                 line_query(params, node, store[pointer], r)
             )
-            fields = params.answer_codec.unpack_bits(answer)
+            ell, next_r = params.next_node(answer)
             node += 1
             if node % lay.w_each == 0:
                 break  # end of this instance's chain
             instance = node // lay.w_each
-            pointer = instance * params.v + params.ell_of_answer(
-                fields["ell"].value
-            )
-            r = fields["r"]
+            pointer = instance * params.v + ell
+            r = next_r
         return node, pointer, r, answer
 
 

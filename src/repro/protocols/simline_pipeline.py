@@ -125,9 +125,7 @@ class SimLinePipelineMachine(Machine):
             queries += 1
             next_node = frontier.node + 1
             frontier = Frontier(
-                node=next_node,
-                pointer=params.piece_index(next_node),
-                r=params.answer_codec.unpack_bits(answer)["r"],
+                next_node, params.piece_index(next_node), params.next_r(answer)
             )
         return frontier, answer
 

@@ -15,7 +15,6 @@ re-encodes to the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Protocol
@@ -54,11 +53,18 @@ class _ChainParams(Protocol):
 
 
 class _Layout(NamedTuple):
-    """The ``(u, v, w)`` part of the parameters that fixes the formats."""
+    """The ``(u, v, w)`` part of the parameters that fixes the formats,
+    and the field widths it implies."""
 
     u: int
     v: int
     w: int
+    #: STORE count field: ``max(bits_needed(v + 1), 1)``.
+    count_bits: int
+    #: STORE index and FRONTIER pointer fields: ``max(bits_needed(v), 1)``.
+    piece_bits: int
+    #: FRONTIER node field: ``bits_needed(w + 1)``.
+    node_bits: int
 
 
 #: Distinct ``(layout, payload)`` pairs :func:`decode_records` keeps
@@ -68,26 +74,32 @@ class _Layout(NamedTuple):
 DECODE_MEMO_SIZE = 256
 
 
-def _piece_index_bits(params: _ChainParams) -> int:
-    return max(bits_needed(params.v), 1)
+@lru_cache(maxsize=128)
+def _layout(u: int, v: int, w: int) -> _Layout:
+    # Every encode and decode needs the widths: compute them once per
+    # (u, v, w), not once per message.
+    return _Layout(
+        u,
+        v,
+        w,
+        count_bits=max(bits_needed(v + 1), 1),
+        piece_bits=max(bits_needed(v), 1),
+        node_bits=bits_needed(w + 1),
+    )
 
 
-def _node_index_bits(params: _ChainParams) -> int:
-    return bits_needed(params.w + 1)
+def _layout_of(params: _ChainParams) -> _Layout:
+    return _layout(params.u, params.v, params.w)
 
 
-def _count_bits(params: _ChainParams) -> int:
-    return max(bits_needed(params.v + 1), 1)
-
-
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(NamedTuple):
     """The chain token: next node to evaluate and its inputs.
 
     ``node`` is the next 0-based chain index ``i``; ``pointer`` is the
     piece the node needs (``l_i`` for ``Line``, ``i mod v`` for
     ``SimLine`` -- carried explicitly so both protocols share a format);
-    ``r`` is the running ``u``-bit value.
+    ``r`` is the running ``u``-bit value.  A named tuple, because the
+    chain protocols build one per oracle call.
     """
 
     node: int
@@ -130,7 +142,7 @@ def _parse_records(
 ) -> tuple[tuple[MessageKind, object], ...]:
     # The memoized parse behind decode_records; the STORE dicts it keeps
     # are never handed out.
-    layout = _Layout(u, v, w)
+    layout = _layout(u, v, w)
     reader = BitReader(payload)
     records: list[tuple[MessageKind, object]] = []
     while not reader.at_end():
@@ -144,13 +156,13 @@ def _parse_records(
     return tuple(records)
 
 
-def _read_store(params: _ChainParams, reader: BitReader) -> dict[int, Bits]:
-    v = params.v
-    count = reader.read(_count_bits(params))
+def _read_store(layout: _Layout, reader: BitReader) -> dict[int, Bits]:
+    v = layout.v
+    count = reader.read(layout.count_bits)
     if count > v:
         raise ValueError(f"STORE count {count} exceeds v={v}")
-    idx_bits = _piece_index_bits(params)
-    u = params.u
+    idx_bits = layout.piece_bits
+    u = layout.u
     out: dict[int, Bits] = {}
     prev = -1
     for _ in range(count):
@@ -167,27 +179,27 @@ def _read_store(params: _ChainParams, reader: BitReader) -> dict[int, Bits]:
     return out
 
 
-def _read_frontier(params: _ChainParams, reader: BitReader) -> Frontier:
-    node = reader.read(_node_index_bits(params))
-    if node > params.w:
-        raise ValueError(f"FRONTIER node {node} out of range for w={params.w}")
-    pointer = reader.read(_piece_index_bits(params))
-    if pointer >= params.v:
+def _read_frontier(layout: _Layout, reader: BitReader) -> Frontier:
+    node = reader.read(layout.node_bits)
+    if node > layout.w:
+        raise ValueError(f"FRONTIER node {node} out of range for w={layout.w}")
+    pointer = reader.read(layout.piece_bits)
+    if pointer >= layout.v:
         raise ValueError(
-            f"FRONTIER pointer {pointer} out of range for v={params.v}"
+            f"FRONTIER pointer {pointer} out of range for v={layout.v}"
         )
-    rv = reader.read_bits(params.u)
-    return Frontier(node=node, pointer=pointer, r=rv)
+    return Frontier(node, pointer, reader.read_bits(layout.u))
 
 
 def encode_store(params: _ChainParams, pieces: Iterable[tuple[int, Bits]]) -> Bits:
     """Pack ``(piece index, piece value)`` pairs, in strictly increasing
     index order, as a STORE message."""
+    layout = _layout_of(params)
     items = list(pieces)
     w = BitWriter()
     w.write(MessageKind.STORE, _KIND_BITS)
-    w.write(len(items), _count_bits(params))
-    idx_bits = _piece_index_bits(params)
+    w.write(len(items), layout.count_bits)
+    idx_bits = layout.piece_bits
     prev = -1
     for idx, value in items:
         if not 0 <= idx < params.v:
@@ -213,7 +225,7 @@ def decode_store(params: _ChainParams, message: Bits) -> dict[int, Bits]:
     kind = MessageKind(r.read(_KIND_BITS))
     if kind is not MessageKind.STORE:
         raise ValueError(f"expected STORE message, got {kind.name}")
-    out = _read_store(params, r)
+    out = _read_store(_layout_of(params), r)
     if not r.at_end():
         raise ValueError("trailing bits after STORE payload")
     return out
@@ -229,10 +241,11 @@ def encode_frontier(params: _ChainParams, frontier: Frontier) -> Bits:
         )
     if len(frontier.r) != params.u:
         raise ValueError(f"r has {len(frontier.r)} bits, expected u={params.u}")
+    layout = _layout_of(params)
     w = BitWriter()
     w.write(MessageKind.FRONTIER, _KIND_BITS)
-    w.write(frontier.node, _node_index_bits(params))
-    w.write(frontier.pointer, _piece_index_bits(params))
+    w.write(frontier.node, layout.node_bits)
+    w.write(frontier.pointer, layout.piece_bits)
     w.write_bits(frontier.r)
     return w.getvalue()
 
@@ -243,7 +256,7 @@ def decode_frontier(params: _ChainParams, message: Bits) -> Frontier:
     kind = MessageKind(r.read(_KIND_BITS))
     if kind is not MessageKind.FRONTIER:
         raise ValueError(f"expected FRONTIER message, got {kind.name}")
-    frontier = _read_frontier(params, r)
+    frontier = _read_frontier(_layout_of(params), r)
     if not r.at_end():
         raise ValueError("trailing bits after FRONTIER payload")
     return frontier
@@ -256,18 +269,15 @@ def encode_done() -> Bits:
 
 def store_bits_required(params: _ChainParams, num_pieces: int) -> int:
     """Exact STORE size for ``num_pieces`` pieces (for sizing ``s``)."""
+    layout = _layout_of(params)
     return (
         _KIND_BITS
-        + _count_bits(params)
-        + num_pieces * (_piece_index_bits(params) + params.u)
+        + layout.count_bits
+        + num_pieces * (layout.piece_bits + layout.u)
     )
 
 
 def frontier_bits_required(params: _ChainParams) -> int:
     """Exact FRONTIER size (for sizing ``s``)."""
-    return (
-        _KIND_BITS
-        + _node_index_bits(params)
-        + _piece_index_bits(params)
-        + params.u
-    )
+    layout = _layout_of(params)
+    return _KIND_BITS + layout.node_bits + layout.piece_bits + layout.u

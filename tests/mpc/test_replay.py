@@ -367,6 +367,27 @@ class QueryingIdler(Machine):
         return RoundOutput(messages={ctx.machine_id: Bits(0, 1)})
 
 
+class Alternator(Machine):
+    """Honestly ``round_oblivious``: its inbox alternates between A (own
+    state ``0``, or round 0's empty inbox), answered without a query,
+    and B (own state ``1``), answered after one oracle query.  Each step
+    also mails the next machine its id, so replayed steps route to
+    other machines too."""
+
+    round_oblivious = True
+
+    def run_round(self, ctx):
+        me = ctx.machine_id
+        if ctx.from_sender(me) == Bits(1, 1):  # inbox B
+            ctx.oracle.query(Bits(me, 4))
+            state = Bits(0, 1)
+        else:  # inbox A
+            state = Bits(1, 1)
+        return RoundOutput(
+            messages={me: state, (me + 1) % ctx.num_machines: Bits(me, 2)}
+        )
+
+
 class Kicker(Machine):
     """Honestly ``round_oblivious`` (it reads ``ctx.round`` only to
     detect round 0): kicks machine 1 in round 0, then halts."""
@@ -412,6 +433,19 @@ class TestReplayConditions:
         on = assert_replay_equivalent(_direct([QueryingIdler], 6))
         assert on.calls == 6
         assert len(on.oracle.transcript) == 6
+
+    def test_older_cached_step_replays_after_a_querying_step(self):
+        """Rounds 0-3 run; from round 4 on, every A step (even rounds)
+        replays round 2's step, although a querying B step (odd rounds)
+        ran in between.  A querying step leaves the slot as it is."""
+        on = assert_replay_equivalent(
+            _direct([Alternator, Alternator], 12), traced=True
+        )
+        off = run_protocol(_direct([Alternator, Alternator], 12), replay=False)
+        assert off.calls == 2 * 12
+        replayed = len(range(4, 12, 2))
+        assert on.calls == 2 * (12 - replayed)
+        assert len(on.oracle.transcript) == 2 * 6
 
     def test_round_zero_step_is_never_replayed(self):
         """Machine 0's inbox is empty in rounds 0 and 1, but only a

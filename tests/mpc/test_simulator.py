@@ -1,6 +1,8 @@
 """Tests for the MPC round engine: routing, budgets, halting, stats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import Bits
 from repro.mpc import (
@@ -50,15 +52,20 @@ def mems(params, payloads):
     return out
 
 
-#: The round in which machine 0 wakes the sleepers of :func:`run_woken`.
-WAKE_ROUND = 4
+#: The round in which machine 0 wakes the sleepers of :func:`run_woken`
+#: unless a test picks another.  It is odd: see :func:`run_woken`.
+WAKE_ROUND = 5
 
 
 class Clock(Machine):
-    """Machine 0: sends every other machine one bit, once."""
+    """Machine 0: sends every other machine one bit, once, so that it
+    arrives in round ``wake_round``."""
+
+    def __init__(self, wake_round: int):
+        self.wake_round = wake_round
 
     def run_round(self, ctx: RoundContext) -> RoundOutput:
-        if ctx.round == WAKE_ROUND - 1:
+        if ctx.round == self.wake_round - 1:
             return RoundOutput(
                 messages={j: Bits(1, 1) for j in range(1, ctx.num_machines)}
             )
@@ -66,7 +73,12 @@ class Clock(Machine):
 
 
 class Sleeper(Machine):
-    """Idles on one constant self-message until woken, then runs ``act``."""
+    """Idles until woken, then runs ``act``.
+
+    Idling alternates two self-messages: on ``0`` (or the empty round-0
+    inbox) it mails itself ``1`` without a query; on ``1`` it makes one
+    oracle query and mails itself ``0``.
+    """
 
     def __init__(self, act, round_oblivious: bool):
         self.act = act
@@ -77,29 +89,93 @@ class Sleeper(Machine):
         self.calls += 1
         if ctx.from_sender(0) is not None:
             return self.act(ctx)
-        return RoundOutput(messages={ctx.machine_id: Bits(0, 1)})
+        me = ctx.machine_id
+        if ctx.from_sender(me) == Bits(1, 1):
+            ctx.oracle.query(Bits(me % 8, 3))
+            return RoundOutput(messages={me: Bits(0, 1)})
+        return RoundOutput(messages={me: Bits(1, 1)})
 
 
-def run_woken(act, error, match, *, sleepers=1, q=None, oracle=None):
+def run_woken(
+    act, error, match, *, sleepers=1, q=None, wake_round=WAKE_ROUND
+):
     """Assert that a misbehaviour raises ``error`` with and without replay.
 
-    The misbehaviour ``act`` arrives in :data:`WAKE_ROUND`.  With
-    ``round_oblivious`` set, the sleepers' identical inboxes in rounds
-    2 and 3 are replayed first, so the check runs on the first executed
-    step after a replay.
+    The misbehaviour ``act`` arrives in ``wake_round``, an odd round
+    ``>= 5``.  With ``round_oblivious`` set, a sleeper's querying steps
+    (odd rounds) are never cached, but its zero-query step of round 2
+    is, and every later even round replays it: the querying step in
+    between does not clear the slot.  The check therefore runs on the
+    first executed step after a replay from an *older* cached step.
     """
+    assert wake_round >= 5 and wake_round % 2
     for round_oblivious in (False, True):
-        machines = [Clock()] + [
+        machines = [Clock(wake_round)] + [
             Sleeper(act, round_oblivious) for _ in range(sleepers)
         ]
         params = MPCParams(
-            m=len(machines), s_bits=8, q=q, max_rounds=WAKE_ROUND + 3
+            m=len(machines), s_bits=8, q=q, max_rounds=wake_round + 3
         )
-        sim = MPCSimulator(params, machines, oracle=oracle)
+        sim = MPCSimulator(
+            params, machines, oracle=TableOracle(3, 3, list(range(8)))
+        )
         with pytest.raises(error, match=match):
             sim.run([Bits(0, 0)] * len(machines))
-        executed = 3 if round_oblivious else WAKE_ROUND + 1
+        replayed = len(range(4, wake_round, 2)) if round_oblivious else 0
+        executed = wake_round + 1 - replayed
         assert [m.calls for m in machines[1:]] == [executed] * sleepers
+
+
+def _query_three(ctx):
+    for i in range(3):
+        ctx.oracle.query(Bits(i, 3))
+    return RoundOutput()
+
+
+#: One misbehaviour per row: (act, error, message, sleepers, q).  With
+#: several sleepers, machine 1 is the first to misbehave.
+MISBEHAVIOURS = [
+    # An inbox over s = 8 from one sender, and summed over two senders.
+    (lambda ctx: RoundOutput(messages={1: Bits.zeros(10)}),
+     MemoryExceeded, "machine 1 holds 10 bits", 1, None),
+    (lambda ctx: RoundOutput(messages={1: Bits.zeros(5)}),
+     MemoryExceeded, "machine 1 holds 10 bits", 2, None),
+    # Three queries against a per-round budget of q = 2.
+    (_query_three, QueryBudgetExceeded, "machine 1 exceeded q=2", 1, 2),
+    # Every kind of bad destination: out of range, negative, not an int.
+    *[
+        (lambda ctx, dst=dst: RoundOutput(messages={dst: Bits(0, 1)}),
+         ProtocolError, "machine 1 sent a message to invalid machine", 1,
+         None)
+        for dst in (2, 99, -1, 1.0, "1", True, None)
+    ],
+    (lambda ctx: RoundOutput(messages={1: "oops"}),
+     ProtocolError, "machine 1 sent a non-Bits payload to 1", 1, None),
+    (lambda ctx: RoundOutput(messages={1: b"\x01"}),
+     ProtocolError, "machine 1 sent a non-Bits payload to 1", 1, None),
+    (lambda ctx: RoundOutput(output=5),
+     ProtocolError, "machine 1 output a int, expected Bits", 1, None),
+    (lambda ctx: RoundOutput(output="1"),
+     ProtocolError, "machine 1 output a str, expected Bits", 1, None),
+    (lambda ctx: None,
+     ProtocolError, "machine 1 returned NoneType, expected RoundOutput", 1,
+     None),
+    (lambda ctx: {1: Bits(0, 1)},
+     ProtocolError, "machine 1 returned dict, expected RoundOutput", 1, None),
+]
+
+
+class TestMisbehaviourAfterReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        row=st.sampled_from(MISBEHAVIOURS),
+        wake_round=st.sampled_from([5, 7, 9, 11]),
+    )
+    def test_rejected_in_both_replay_states(self, row, wake_round):
+        act, error, match, sleepers, q = row
+        run_woken(
+            act, error, match, sleepers=sleepers, q=q, wake_round=wake_round
+        )
 
 
 class TestRouting:
@@ -153,6 +229,34 @@ class TestMemoryEnforcement:
         with pytest.raises(MemoryExceeded):
             sim.run([Bits.zeros(5)])
 
+    @pytest.mark.parametrize(
+        "share", [b"\x01\x02", [1, 0], "1011", 16, None]
+    )
+    def test_initial_share_must_be_bits(self, share):
+        # Checked before round 0: len() of bytes would count 2 bits for
+        # 16, and an int has no len() at all.
+        seen = []
+        sim = MPCSimulator(
+            MPCParams(m=2, s_bits=4),
+            [Echo(0), Echo(0)],
+            inbox_observer=lambda r, i, inc: seen.append(i),
+        )
+        with pytest.raises(
+            ProtocolError,
+            match=(
+                "machine 1 was given a non-Bits initial memory "
+                rf"\({type(share).__name__}\)"
+            ),
+        ):
+            sim.run([Bits(0, 0), share])
+        assert seen == []
+
+    def test_initial_share_counts_bits(self):
+        params = MPCParams(m=1, s_bits=4)
+        sim = MPCSimulator(params, [Echo(0)])
+        with pytest.raises(MemoryExceeded, match="machine 0 holds 16 bits"):
+            sim.run([Bits.from_bytes(b"\x01\x02")])
+
     def test_incoming_messages_must_fit(self):
         run_woken(
             lambda ctx: RoundOutput(messages={1: Bits.zeros(10)}),
@@ -178,14 +282,8 @@ class TestOracleBudget:
         return Querier()
 
     def test_budget_enforced_per_round(self):
-        def query_three(ctx):
-            for i in range(3):
-                ctx.oracle.query(Bits(i, 3))
-            return RoundOutput()
-
         run_woken(
-            query_three, QueryBudgetExceeded, "machine 1 exceeded q=2",
-            q=2, oracle=TableOracle(3, 3, list(range(8))),
+            _query_three, QueryBudgetExceeded, "machine 1 exceeded q=2", q=2
         )
 
     def test_budget_resets_between_machines(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bits import BitWriter, Bits
+from repro.bits import BitWriter, Bits, bits_needed
 from repro.functions import LineParams
 from repro.protocols import wire
 from repro.protocols.wire import (
@@ -129,11 +129,12 @@ class TestRecords:
 def raw_store(count, indices, *, params):
     """A STORE record written field by field, bypassing encode_store's
     checks; piece ``j`` holds the value ``j + 1``."""
+    layout = wire._layout(params.u, params.v, params.w)
     w = BitWriter()
     w.write(MessageKind.STORE, 2)
-    w.write(count, wire._count_bits(params))
+    w.write(count, layout.count_bits)
     for j, idx in enumerate(indices):
-        w.write(idx, wire._piece_index_bits(params))
+        w.write(idx, layout.piece_bits)
         w.write(j + 1, params.u)
     return w.getvalue()
 
@@ -190,6 +191,18 @@ class TestMalformedRecords:
         assert decode_records(params, encode_frontier(params, f)) == [
             (MessageKind.FRONTIER, f)
         ]
+
+
+class TestLayout:
+    @given(
+        u=st.integers(1, 64), v=st.integers(1, 5000), w=st.integers(1, 5000)
+    )
+    def test_widths_match_formulas(self, u, v, w):
+        layout = wire._layout(u, v, w)
+        assert (layout.u, layout.v, layout.w) == (u, v, w)
+        assert layout.count_bits == max(bits_needed(v + 1), 1)
+        assert layout.piece_bits == max(bits_needed(v), 1)
+        assert layout.node_bits == bits_needed(w + 1)
 
 
 class TestDecodeMemo:
