@@ -71,9 +71,15 @@ class HashOracle(Oracle):
         counter = 0
         while len(out) < self._out_bytes:
             chunk_input = material + counter.to_bytes(4, "big")
-            out += self._hash(chunk_input)
+            digest = self._hash(chunk_input)
             self._calls += 1
             self._bytes_hashed += len(chunk_input)
+            if not digest:
+                raise ValueError(
+                    f"hash of oracle {self._label!r} returned an empty digest; "
+                    f"cannot expand it to n_out={self._n_out} bits"
+                )
+            out += digest
             counter += 1
         value = int.from_bytes(bytes(out[: self._out_bytes]), "big")
         excess = 8 * self._out_bytes - self._n_out

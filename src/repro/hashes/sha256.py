@@ -3,9 +3,15 @@
 This is the concrete hash the reproduction uses to instantiate the random
 oracle when exercising Theorem 1.1's "replace RO by a good cryptographic
 hash" step.  It is a direct transcription of the standard: 512-bit blocks,
-64 rounds, Merkle-Damgard with length padding.  Pure Python -- the point
-is faithfulness and auditability, not throughput; the throughput-sensitive
-paths use :mod:`repro.hashes.toy_md` instead.
+64 rounds, Merkle-Damgard with length padding, in pure Python.
+
+:func:`_compress` keeps the standard's two loops (message schedule, 64
+rounds) but writes every rotation, sigma/Sigma, Ch and Maj into the loop
+body as plain integer expressions on local variables and masks each sum
+once, so a round calls no helper.  The tests keep the textbook form, one
+``ROTR`` call per rotation, as the reference this one must equal bit for
+bit.  Monte-Carlo sweeps that need millions of oracle calls use
+:mod:`repro.hashes.toy_md` instead.
 """
 
 from __future__ import annotations
@@ -45,31 +51,55 @@ _H0 = (
 )
 
 
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK32
-
-
 def _compress(state: tuple[int, ...], block: bytes) -> tuple[int, ...]:
-    """One application of the SHA-256 compression function."""
+    """One application of the SHA-256 compression function (FIPS 180-4
+    section 6.2.2).
+
+    Rotations are written into the sigma/Sigma expressions: with
+    ``xx = x | (x << 32)`` (the word written twice), the low 32 bits of
+    ``xx >> n`` are ROTR^n(x).  The bits above 32 never reach a low bit
+    through xor, or through addition mod 2^32, so each sum is masked once.
+    """
+    M = _MASK32
+    # Message schedule: W[t] = sigma1(W[t-2]) + W[t-7] + sigma0(W[t-15])
+    # + W[t-16].
     w = list(struct.unpack(">16I", block))
     for t in range(16, 64):
-        s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK32)
+        x = w[t - 15]
+        xx = x | (x << 32)
+        y = w[t - 2]
+        yy = y | (y << 32)
+        w.append(
+            (
+                w[t - 16]
+                + w[t - 7]
+                + ((xx >> 7) ^ (xx >> 18) ^ (x >> 3))  # sigma0
+                + ((yy >> 17) ^ (yy >> 19) ^ (y >> 10))  # sigma1
+            )
+            & M
+        )
 
     a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        big_s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-        ch = (e & f) ^ (~e & g)
-        t1 = (h + big_s1 + ch + _K[t] + w[t]) & _MASK32
-        big_s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        t2 = (big_s0 + maj) & _MASK32
-        a, b, c, d, e, f, g, h = (
-            (t1 + t2) & _MASK32, a, b, c, (d + t1) & _MASK32, e, f, g,
-        )
+    for k, wt in zip(_K, w):
+        ee = e | (e << 32)
+        aa = a | (a << 32)
+        # T1 = h + Sigma1(e) + Ch(e, f, g) + K[t] + W[t], with
+        # Ch(e, f, g) = (e & f) ^ (~e & g) written as g ^ (e & (f ^ g)).
+        t1 = h + ((ee >> 6) ^ (ee >> 11) ^ (ee >> 25)) + (g ^ (e & (f ^ g))) + k + wt
+        # T2 = Sigma0(a) + Maj(a, b, c), with
+        # Maj(a, b, c) = (a & b) ^ (a & c) ^ (b & c) written as
+        # (a & b) | (c & (a | b)).
+        t2 = ((aa >> 2) ^ (aa >> 13) ^ (aa >> 22)) + ((a & b) | (c & (a | b)))
+        h = g
+        g = f
+        f = e
+        e = (d + t1) & M
+        d = c
+        c = b
+        b = a
+        a = (t1 + t2) & M
     return tuple(
-        (x + y) & _MASK32 for x, y in zip(state, (a, b, c, d, e, f, g, h))
+        (x + y) & M for x, y in zip(state, (a, b, c, d, e, f, g, h))
     )
 
 

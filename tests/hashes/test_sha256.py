@@ -1,7 +1,10 @@
 """SHA-256 correctness: NIST vectors plus differential tests vs hashlib.
 
 ``hashlib`` is used here *only* as a test oracle to validate the
-from-scratch implementation; library code never imports it.
+from-scratch implementation.  No hash that instantiates an oracle
+computes through ``hashlib`` (``test_from_scratch.py`` checks the
+imports of ``repro.hashes``); the library uses it elsewhere only for
+bookkeeping digests (trial seeds, trace query keys).
 """
 
 import hashlib

@@ -391,3 +391,17 @@ class TestHashOracle:
         material = b"t" + x.to_bytes(2, "big") + (0).to_bytes(4, "big")
         expected = int.from_bytes(sha256(material)[:2], "big")
         assert ro.query(Bits(x, 16)).value == expected
+
+    def test_empty_digest_raises(self):
+        calls = []
+
+        def empty_hash(message):
+            calls.append(message)
+            if len(calls) > 3:
+                pytest.fail("HashOracle kept calling a hash that returns b''")
+            return b""
+
+        ro = HashOracle(empty_hash, 8, 8, label=b"void")
+        with pytest.raises(ValueError, match=r"b'void'.*empty digest.*n_out=8"):
+            ro.query(Bits(0, 8))
+        assert len(calls) == 1
