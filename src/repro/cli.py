@@ -8,21 +8,14 @@
     python -m repro report [--scale quick] [--output EXPERIMENTS.md]
     python -m repro report trace.jsonl -o report.html [--format chrome-json]
     python -m repro trace E-LINE [--trace-out t.jsonl] [--strict-bounds]
-    python -m repro top E-LINE [--jobs N] [--stall-deadline S]
     python -m repro profile E-LINE [--cprofile-span mpc.round] [--memory]
-    python -m repro profile --compare a.jsonl b.jsonl [--top N]
-    python -m repro trace-diff baseline.jsonl current.jsonl
-    python -m repro bench-compare benchmarks/baseline.json <bench-dir>
-    python -m repro bench-baseline <bench-dir> [-o baseline.json]
-    python -m repro bench run [--suite quick] [--history]
-    python -m repro bench trend [--source both] [--window 8] [--json]
+    python -m repro trace-diff a.jsonl b.jsonl
     python -m repro cost show [chain ram.line] [--latex]
     python -m repro cost eval chain T=64 m=4 b=2 v=8 u=16 q=none R=40
     python -m repro cost check [E-LINE E-RAM] [--strict] [--trace t.jsonl]
     python -m repro runs list [-e E-LINE] [-n 30] [--registry PATH]
     python -m repro runs show <run-id>
     python -m repro runs compare <a> <b>
-    python -m repro runs trend [--metric wall_s] [--window 5] [--html t.html]
     python -m repro runs gc --keep-last 50 [--before 2026-01-01]
 
 ``report`` with no positional argument regenerates the paper-vs-measured
@@ -43,7 +36,7 @@ the per-span self/cumulative-time table plus the slowest rounds;
 ``--cprofile`` / ``--cprofile-span NAME`` attach ``cProfile`` (to the
 whole run, or to one span kind only), ``--memory`` samples per-round
 ``tracemalloc`` peaks.  ``trace-diff`` structurally compares two JSONL
-traces (record kinds, the bench gate's deterministic counters,
+traces (record kinds, the deterministic counter fingerprint,
 per-round latency) and exits 1 on structural drift.
 
 ``--jobs N`` (on ``run``/``run-all``/``trace``) fans the experiments'
@@ -71,23 +64,7 @@ code 2) the moment a run violates a model invariant -- per-machine
 memory over ``s``, round communication over ``s·m``, an oracle-query
 budget, or a round count outside the theory prediction band.
 ``--progress`` renders per-round progress to stderr while a simulation
-runs.  ``bench-compare`` diffs a ``REPRO_BENCH_JSON`` output directory
-against a committed baseline and exits nonzero on deterministic-counter
-drift; ``bench-baseline`` (re)generates that baseline file.
-
-The ``bench`` family is the **performance observatory**
-(:mod:`repro.perfwatch`): ``bench run`` drives a curated suite
-(``--suite quick|full``) with warmup + best-of-k timing, stamps every
-row with an environment fingerprint, writes ``BENCH_*.json`` payloads
-plus registry ``bench_results`` rows, optionally appends the committed
-``benchmarks/bench_history.json`` ledger (``--history``), and reports
-advisory budget violations (``benchmarks/budgets.json``); ``bench
-trend`` applies the robust changepoint gate (rolling median + MAD
-z-score + absolute noise floor) over that history and exits 1 on a
-confirmed regression.  ``profile --compare A B`` differentially aligns
-two traces' hotspot tables, attributing the wall-clock delta to named
-spans.  Wall-clock never enters any deterministic fingerprint -- see
-docs/PERFORMANCE.md, "Performance observatory".
+runs.
 
 ``--telemetry`` (on ``run``/``run-all``/``trace``; also the
 ``REPRO_TELEMETRY`` env var, vetoed by ``--no-telemetry``) turns on the
@@ -97,20 +74,16 @@ threads), one ``telemetry.heartbeat`` per Monte-Carlo trial with a
 parent-side stall detector (``--stall-deadline SECONDS``; under
 ``--strict-bounds`` a stalled worker exits 2 like any invariant
 violation), and tracer self-overhead accounting
-(``telemetry.overhead_frac``).  ``--metrics-out PATH`` writes a
-Prometheus text exposition of the run's metrics registry.  ``repro top
-EXPERIMENT`` is the live per-worker dashboard.  Telemetry is excluded
-from every determinism contract: fingerprints, registry ``metrics``,
-and ``trace-diff`` are bit-identical with it on or off.
+(``telemetry.overhead_frac``).  Telemetry is excluded from every
+determinism contract: fingerprints, registry ``metrics``, and
+``trace-diff`` are bit-identical with it on or off.
 
 ``run`` and ``run-all`` append one row per experiment to the
 **persistent run registry** (``--registry PATH``, the ``REPRO_REGISTRY``
 env var, or ``~/.repro/runs.db``; opt out with ``--no-record``).  The
 ``runs`` family queries that history: ``runs list``/``show`` browse
 rows, ``runs compare A B`` diffs two runs' deterministic counters and
-metrics, ``runs trend`` renders per-experiment sparkline series and
-applies the rolling-window regression gate plus flaky-verdict detection
-(exit 1 -- the cross-run CI contract), ``runs gc`` prunes old rows.
+metrics (exit 1 on drift), ``runs gc`` prunes old rows.
 See docs/OBSERVABILITY.md, "Run registry & history".
 """
 
@@ -152,18 +125,14 @@ from repro.obs import (
     TraceMetrics,
     Tracer,
     build_index,
-    compare_benchmarks,
     compare_runs,
     counters_of,
-    default_registry_path,
     diff_traces,
     ensure_index,
     explain_trace_files,
     get_tracer,
     git_sha,
     iter_trace_records,
-    load_baseline,
-    load_bench_dir,
     parse_query,
     profile_experiment,
     read_jsonl,
@@ -172,40 +141,18 @@ from repro.obs import (
     render_runs_table,
     render_triage,
     run_query,
-    save_baseline,
     summarize,
-    trend_report,
     triage_file,
     use_tracer,
     write_chrome_trace,
-    write_history_html,
     write_html_report,
 )
-from repro.perfwatch import (
-    DEFAULT_HISTORY,
-    append_bench_history,
-    bench_trend,
-    check_budgets,
-    diff_trace_files,
-    load_bench_history,
-    load_budgets,
-    merge_points,
-    points_from_history,
-    points_from_registry,
-    render_budget_violations,
-    run_suite,
-    suite_experiments,
-)
 from repro.telemetry import (
-    MetricsRegistry,
     OverheadMeter,
     ResourceSampler,
     StallDetector,
-    TelemetryCollector,
-    TelemetryTop,
     resolve_telemetry,
     use_telemetry,
-    write_prometheus,
 )
 
 __all__ = ["main", "build_report"]
@@ -276,8 +223,6 @@ def _run_observed(
     progress: bool = False,
     telemetry: bool = False,
     stall_deadline: float | None = None,
-    collector: TelemetryCollector | None = None,
-    top: TelemetryTop | None = None,
 ):
     """Run one experiment with optional monitor / capture / progress.
 
@@ -301,19 +246,13 @@ def _run_observed(
     strict invariants), and an :class:`~repro.telemetry.OverheadMeter`
     on the tracer's emission path.  Their combined summary lands in
     ``result.metrics["telemetry"]`` and a ``telemetry.overhead`` event
-    is emitted before teardown.  ``collector`` (a
-    :class:`~repro.telemetry.TelemetryCollector`) and ``top`` (a
-    :class:`~repro.telemetry.TelemetryTop`, replacing the plain
-    progress renderer) ride as extra subscribers.  Every teardown --
-    unsubscribes, sampler/progress close, meter detach -- is one
+    is emitted before teardown.  Every teardown -- unsubscribes,
+    sampler/progress close, meter detach -- is one
     :class:`contextlib.ExitStack`, so a mid-run raise cannot leak a
     thread or a subscriber.
     """
     ambient = get_tracer()
-    observed = (
-        strict or capture or progress or telemetry
-        or collector is not None or top is not None
-    )
+    observed = strict or capture or progress or telemetry
     if ambient.enabled:
         tracer, own = ambient, False
     elif observed:
@@ -323,7 +262,7 @@ def _run_observed(
     records: list | None = [] if capture else None
     monitor = InvariantMonitor(strict=strict, tracer=tracer) if strict else None
     cost = CostOracle(tracer=tracer) if cost_available() else None
-    live = top if top is not None else (LiveProgress() if progress else None)
+    live = LiveProgress() if progress else None
     health = sampler = meter = None
     if telemetry:
         health = StallDetector(
@@ -334,7 +273,6 @@ def _run_observed(
     subscribers = [s for s in (
         cost,  # before capture, so cost.* events land in `records`
         records.append if records is not None else None,
-        collector,
         monitor,
         health,
         live,
@@ -425,25 +363,9 @@ def _print_telemetry_summary(result) -> None:
         )
 
 
-def _write_metrics_out(registry: MetricsRegistry, result, path: str) -> None:
-    """Fold the run's telemetry summary in, then write Prometheus text."""
-    collector = TelemetryCollector(registry)
-    collector.update_from(result.metrics.get("telemetry") or {})
-    size = write_prometheus(registry, path)
-    print(
-        f"metrics: {len(registry)} metrics -> {path} ({size} bytes)",
-        file=sys.stderr,
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     record = not args.no_record
     telemetry = resolve_telemetry(args.telemetry)
-    metrics_registry = MetricsRegistry() if args.metrics_out else None
-    collector = (
-        TelemetryCollector(metrics_registry)
-        if metrics_registry is not None else None
-    )
     try:
         with use_jobs(args.jobs):
             result, records, monitor = _run_observed(
@@ -456,7 +378,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 progress=args.progress,
                 telemetry=telemetry,
                 stall_deadline=args.stall_deadline,
-                collector=collector,
             )
     except InvariantViolation as exc:
         v = exc.violation
@@ -475,8 +396,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     _print_telemetry_summary(result)
-    if metrics_registry is not None:
-        _write_metrics_out(metrics_registry, result, args.metrics_out)
     if record:
         run_id, db_path = _record_run(
             args.registry,
@@ -503,11 +422,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     convergence = ConvergenceMonitor(tracer=tracer)
     cost = CostOracle(tracer=tracer) if cost_available() else None
     live = LiveProgress() if args.progress else None
-    metrics_registry = MetricsRegistry() if args.metrics_out else None
-    collector = (
-        TelemetryCollector(metrics_registry)
-        if metrics_registry is not None else None
-    )
     health = sampler = meter = None
     if telemetry:
         health = StallDetector(
@@ -524,8 +438,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             if meter is not None:
                 meter.attach(tracer)
                 stack.callback(tracer.set_meter, None)
-            for subscriber in (monitor, convergence, cost, collector,
-                               health, live):
+            for subscriber in (monitor, convergence, cost, health, live):
                 if subscriber is not None:
                     tracer.subscribe(subscriber)
             if live is not None:
@@ -589,8 +502,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"strict-bounds: {len(monitor.violations)} violations",
               file=sys.stderr)
     _print_telemetry_summary(result)
-    if metrics_registry is not None:
-        _write_metrics_out(metrics_registry, result, args.metrics_out)
     return 0 if result.passed else 1
 
 
@@ -785,62 +696,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    """``repro top``: run one experiment under the live worker dashboard.
-
-    Forces telemetry on (the dashboard is nothing without heartbeats)
-    and reuses the ``_run_observed`` rig with a
-    :class:`~repro.telemetry.TelemetryTop` in the progress slot.
-    """
-    top = TelemetryTop()
-    try:
-        with use_jobs(args.jobs):
-            result, _, _ = _run_observed(
-                args.experiment,
-                args.scale,
-                telemetry=True,
-                stall_deadline=args.stall_deadline,
-                top=top,
-            )
-    except InvariantViolation as exc:
-        v = exc.violation
-        print(f"strict-bounds violation [{v.check}]: {v.message}",
-              file=sys.stderr)
-        return 2
-    print(top.render_summary())
-    _print_telemetry_summary(result)
-    status = "ok" if result.passed else "FAIL"
-    print(
-        f"top: {args.experiment} {status} "
-        f"({result.metrics.get('duration_s', 0.0):.2f}s, "
-        f"jobs={resolve_jobs(args.jobs)})",
-        file=sys.stderr,
-    )
-    return 0 if result.passed else 1
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    baseline = load_baseline(args.baseline)
-    current = load_bench_dir(args.bench_dir)
-    if not current:
-        print(f"no BENCH_*.json files in {args.bench_dir}", file=sys.stderr)
-        return 2
-    comparison = compare_benchmarks(
-        baseline, current, time_tolerance=args.time_tolerance
-    )
-    print(comparison.render())
-    if comparison.fatal_drifts:
-        return 1
-    if args.fail_on_time and comparison.time_regressions:
-        return 1
-    if args.require_all and any(
-        d.kind == "missing" for d in comparison.drifts
-    ):
-        print("missing baselined experiments (see table)", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_runs_list(args: argparse.Namespace) -> int:
     with RunRegistry.open(args.registry) as registry:
         records = registry.runs(args.experiment, limit=args.limit)
@@ -876,26 +731,6 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.identical else 1
 
 
-def _cmd_runs_trend(args: argparse.Namespace) -> int:
-    with RunRegistry.open(args.registry) as registry:
-        report = trend_report(
-            registry,
-            experiment_id=args.experiment,
-            metric=args.metric,
-            window=args.window,
-            threshold=args.threshold,
-            min_delta=args.min_delta,
-        )
-    if args.html:
-        size = write_history_html(report, args.html)
-        print(f"wrote {args.html} ({size} bytes)", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 1 if report.failed else 0
-
-
 def _cmd_runs_gc(args: argparse.Namespace) -> int:
     if args.keep_last is None and args.before is None:
         print("runs gc: nothing to do (give --keep-last N and/or "
@@ -906,115 +741,6 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
         remaining = registry.count()
     print(f"runs gc: removed {removed} row(s), {remaining} remain")
     return 0
-
-
-def _cmd_bench_baseline(args: argparse.Namespace) -> int:
-    entries = load_bench_dir(args.bench_dir)
-    if not entries:
-        print(f"no BENCH_*.json files in {args.bench_dir}", file=sys.stderr)
-        return 2
-    save_baseline(entries, args.output)
-    print(f"wrote {args.output} ({len(entries)} experiments)")
-    return 0
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.obs.baseline import write_bench_json
-
-    out_dir = args.out or os.environ.get("REPRO_BENCH_JSON") or "bench-out"
-    try:
-        with use_jobs(args.jobs):
-            outcomes = run_suite(
-                args.suite,
-                scale=args.scale,
-                warmup=args.warmup,
-                repeats=args.repeats,
-                jobs=args.jobs,
-                experiments=args.experiment or None,
-                progress=lambda line: print(line, file=sys.stderr),
-            )
-    except KeyError as exc:
-        print(f"bench run: {exc.args[0]}", file=sys.stderr)
-        return 2
-    results = [o.result for o in outcomes]
-    for outcome in outcomes:
-        write_bench_json(outcome.bench_payload(), out_dir)
-    recorded = []
-    if not args.no_record:
-        with RunRegistry.open(args.registry) as registry:
-            for result in results:
-                bench_id = registry.record_bench(result)
-                recorded.append(bench_id)
-    if args.history is not None:
-        total = append_bench_history(
-            results, args.history, keep_last=args.history_keep_last
-        )
-        print(
-            f"bench run: history {args.history} now {total} row(s)",
-            file=sys.stderr,
-        )
-    budgets = load_budgets(args.budgets)
-    violations = check_budgets(results, budgets)
-    if args.json:
-        print(json.dumps(
-            {
-                "suite": args.suite,
-                "out_dir": out_dir,
-                "results": [r.to_dict() for r in results],
-                "budget_violations": [v.to_dict() for v in violations],
-            },
-            indent=2,
-        ))
-    else:
-        for line in render_budget_violations(violations):
-            print(line)
-    failed = [r.experiment_id for r in results if not r.passed]
-    note = f", {len(recorded)} registry row(s)" if recorded else ""
-    print(
-        f"bench run: {len(results)} benchmark(s) -> {out_dir}{note}"
-        + (f", {len(violations)} budget violation(s) [advisory]"
-           if violations else ""),
-        file=sys.stderr,
-    )
-    if failed:
-        print(f"bench run: FAILED verdicts: {failed}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    history_points: list = []
-    registry_points: list = []
-    if args.source in ("both", "history"):
-        try:
-            rows = load_bench_history(args.history)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"bench trend: {exc}", file=sys.stderr)
-            return 2
-        history_points = points_from_history(rows)
-    if args.source in ("both", "registry"):
-        registry_path = args.registry or os.environ.get(
-            "REPRO_REGISTRY"
-        ) or default_registry_path()
-        # Read-only intent: never create an empty DB just to trend it.
-        if os.path.exists(os.path.expanduser(registry_path)):
-            with RunRegistry.open(args.registry) as registry:
-                registry_points = points_from_registry(registry)
-    points = merge_points(history_points, registry_points)
-    if args.experiment:
-        points = [p for p in points if p.experiment_id in args.experiment]
-    report = bench_trend(
-        points,
-        window=args.window,
-        threshold=args.threshold,
-        min_delta=args.min_delta,
-        z_threshold=args.z_threshold,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print("\n".join(report.render()))
-    return report.exit_code
 
 
 def build_report(scale: str = "quick") -> str:
@@ -1202,26 +928,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.compare is not None:
-        path_a, path_b = args.compare
-        for path in (path_a, path_b):
-            if not os.path.exists(path):
-                print(f"profile --compare: no such trace: {path}",
-                      file=sys.stderr)
-                return 2
-        try:
-            diff = diff_trace_files(path_a, path_b)
-        except TraceFormatError as exc:
-            return _trace_error(exc)
-        if args.json:
-            print(json.dumps(diff.to_dict(), indent=2))
-        else:
-            print(diff.render(top=args.top))
-        return 0
-    if args.experiment is None:
-        print("profile: an experiment id (or --compare A B) is required",
-              file=sys.stderr)
-        return 2
     session = profile_experiment(
         args.experiment,
         scale=args.scale,
@@ -1480,13 +1186,6 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         help="force telemetry off, overriding REPRO_TELEMETRY",
     )
     parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the run's metrics registry as Prometheus text "
-        "exposition to PATH",
-    )
-    parser.add_argument(
         "--stall-deadline",
         type=float,
         default=None,
@@ -1562,7 +1261,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     runs_p = sub.add_parser(
         "runs",
         help="query the persistent run registry "
-        "(list / show / compare / trend / gc)",
+        "(list / show / compare / gc)",
     )
     runs_sub = runs_p.add_subparsers(dest="runs_command", required=True)
 
@@ -1599,43 +1298,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _add_registry_flag(rcmp_p)
     rcmp_p.set_defaults(fn=_cmd_runs_compare)
-
-    rtrend_p = runs_sub.add_parser(
-        "trend",
-        help="per-experiment history with the rolling regression gate "
-        "(exit 1 on regression or flaky verdicts)",
-    )
-    rtrend_p.add_argument(
-        "-e", "--experiment", default=None, metavar="ID",
-        help="restrict to one experiment",
-    )
-    rtrend_p.add_argument(
-        "--metric", default="wall_s", metavar="NAME",
-        help="wall_s (default), a bench counter (mpc.rounds), or a "
-        "deterministic flat-metric key",
-    )
-    rtrend_p.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="pre-latest runs averaged into the baseline (default 5)",
-    )
-    rtrend_p.add_argument(
-        "--threshold", type=float, default=0.5, metavar="FRAC",
-        help="relative increase that fails the gate (default 0.5 = 50%%)",
-    )
-    rtrend_p.add_argument(
-        "--min-delta", type=float, default=0.1, metavar="ABS",
-        help="absolute increase below which the gate never fires "
-        "(default 0.1; noise immunity for sub-second runs)",
-    )
-    rtrend_p.add_argument(
-        "--html", default=None, metavar="PATH",
-        help="also write a self-contained HTML trend report",
-    )
-    rtrend_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    _add_registry_flag(rtrend_p)
-    rtrend_p.set_defaults(fn=_cmd_runs_trend)
 
     rgc_p = runs_sub.add_parser(
         "gc", help="prune old rows from the registry"
@@ -1677,20 +1339,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     rep_p.set_defaults(fn=_cmd_report)
 
     prof_p = sub.add_parser(
-        "profile",
-        help="run one experiment under the hotspot profiler, or "
-        "differentially compare two traces (--compare A B)",
+        "profile", help="run one experiment under the hotspot profiler"
     )
-    prof_p.add_argument(
-        "experiment", nargs="?", default=None,
-        choices=sorted(DESCRIPTIONS),
-        help="experiment to profile (omit with --compare)",
-    )
-    prof_p.add_argument(
-        "--compare", nargs=2, default=None, metavar=("A.jsonl", "B.jsonl"),
-        help="differential mode: align two JSONL traces' hotspot tables "
-        "and attribute the wall-clock delta to named spans",
-    )
+    prof_p.add_argument("experiment", choices=sorted(DESCRIPTIONS))
     prof_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     prof_p.add_argument(
         "--top", type=int, default=None, metavar="N",
@@ -1811,24 +1462,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_jobs_flag(trc_p)
     trc_p.set_defaults(fn=_cmd_trace)
 
-    top_p = sub.add_parser(
-        "top",
-        help="run one experiment under the live per-worker telemetry "
-        "dashboard (forces --telemetry)",
-    )
-    top_p.add_argument("experiment", choices=sorted(DESCRIPTIONS))
-    top_p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    top_p.add_argument(
-        "--stall-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-trial wall-clock budget before a heartbeat counts as "
-        "a worker stall (default: REPRO_STALL_DEADLINE env var, else 30)",
-    )
-    _add_jobs_flag(top_p)
-    top_p.set_defaults(fn=_cmd_top)
-
     cost_p = sub.add_parser(
         "cost",
         help="symbolic cost-model oracle (show / eval / check)",
@@ -1883,155 +1516,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     _add_jobs_flag(ccheck_p)
     ccheck_p.set_defaults(fn=_cmd_cost_check)
-
-    cmp_p = sub.add_parser(
-        "bench-compare",
-        help="diff a REPRO_BENCH_JSON directory against a committed baseline",
-    )
-    cmp_p.add_argument("baseline", help="baseline JSON (benchmarks/baseline.json)")
-    cmp_p.add_argument("bench_dir", help="directory of BENCH_*.json files")
-    cmp_p.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=0.5,
-        metavar="FRAC",
-        help="relative wall-clock slack before a time regression is "
-        "reported (default 0.5 = 50%%)",
-    )
-    cmp_p.add_argument(
-        "--fail-on-time",
-        action="store_true",
-        help="exit nonzero on wall-clock regressions too (default: advisory)",
-    )
-    cmp_p.add_argument(
-        "--require-all",
-        action="store_true",
-        help="exit nonzero when a baselined experiment is missing from "
-        "the bench directory",
-    )
-    cmp_p.set_defaults(fn=_cmd_bench_compare)
-
-    base_p = sub.add_parser(
-        "bench-baseline",
-        help="write a baseline JSON from a REPRO_BENCH_JSON directory",
-    )
-    base_p.add_argument("bench_dir", help="directory of BENCH_*.json files")
-    base_p.add_argument(
-        "--output", "-o", default="benchmarks/baseline.json",
-        help="where to write the baseline (default benchmarks/baseline.json)",
-    )
-    base_p.set_defaults(fn=_cmd_bench_baseline)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="the performance observatory: curated wall-clock suite "
-        "(run) and the statistical regression gate (trend)",
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-
-    brun_p = bench_sub.add_parser(
-        "run",
-        help="run a curated benchmark suite with warmup + best-of-k "
-        "timing; writes BENCH_*.json and registry bench_results rows",
-    )
-    brun_p.add_argument(
-        "--suite", choices=("quick", "full"), default="quick",
-        help="quick = the sub-second tier (default); full = every "
-        "registered experiment",
-    )
-    brun_p.add_argument(
-        "-e", "--experiment", action="append", default=None, metavar="ID",
-        help="restrict the suite to these experiment ids (repeatable)",
-    )
-    brun_p.add_argument(
-        "--scale", choices=("quick", "full"), default="quick",
-        help="experiment scale each bench runs at (default quick)",
-    )
-    brun_p.add_argument(
-        "--warmup", type=int, default=1, metavar="K",
-        help="discarded warmup runs per experiment (default 1)",
-    )
-    brun_p.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
-        help="timed repeats per experiment; wall_s is the best "
-        "(default 3)",
-    )
-    brun_p.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="directory for BENCH_*.json payloads (default: the "
-        "REPRO_BENCH_JSON env var, else bench-out)",
-    )
-    brun_p.add_argument(
-        "--history", nargs="?", const=DEFAULT_HISTORY, default=None,
-        metavar="PATH",
-        help="also append rows to the committed bench history ledger "
-        f"(default path {DEFAULT_HISTORY})",
-    )
-    brun_p.add_argument(
-        "--history-keep-last", type=int, default=60, metavar="N",
-        help="prune each experiment's history series to its "
-        "N newest rows when appending (default 60)",
-    )
-    brun_p.add_argument(
-        "--budgets", default=None, metavar="PATH",
-        help="budgets file for the advisory wall-time/RSS check "
-        "(default benchmarks/budgets.json when present)",
-    )
-    brun_p.add_argument(
-        "--no-record", action="store_true",
-        help="do not append bench_results rows to the run registry",
-    )
-    brun_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    _add_jobs_flag(brun_p)
-    _add_registry_flag(brun_p)
-    brun_p.set_defaults(fn=_cmd_bench_run)
-
-    btrend_p = bench_sub.add_parser(
-        "trend",
-        help="statistical wall-clock regression gate over bench history "
-        "(exit 1 on a confirmed regression)",
-    )
-    btrend_p.add_argument(
-        "-e", "--experiment", action="append", default=None, metavar="ID",
-        help="restrict to these experiment ids (repeatable)",
-    )
-    btrend_p.add_argument(
-        "--source", choices=("both", "history", "registry"),
-        default="both",
-        help="where history comes from: the committed ledger, the run "
-        "registry's bench_results table, or both merged (default both)",
-    )
-    btrend_p.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH",
-        help=f"bench history ledger (default {DEFAULT_HISTORY})",
-    )
-    btrend_p.add_argument(
-        "--window", type=int, default=8, metavar="N",
-        help="pre-latest points in the rolling-median baseline "
-        "(default 8)",
-    )
-    btrend_p.add_argument(
-        "--threshold", type=float, default=0.5, metavar="FRAC",
-        help="relative slowdown vs the rolling median that can fire "
-        "the gate (default 0.5 = 50%%)",
-    )
-    btrend_p.add_argument(
-        "--min-delta", type=float, default=0.005, metavar="SECONDS",
-        help="absolute noise floor: increases below this never fire "
-        "(default 0.005s)",
-    )
-    btrend_p.add_argument(
-        "--z-threshold", type=float, default=4.0, metavar="Z",
-        help="robust (MAD-based) z-score the latest point must also "
-        "exceed when the window has measurable spread (default 4)",
-    )
-    btrend_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    _add_registry_flag(btrend_p)
-    btrend_p.set_defaults(fn=_cmd_bench_trend)
 
     args = parser.parse_args(argv)
     try:

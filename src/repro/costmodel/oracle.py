@@ -153,7 +153,7 @@ class CostOracle:
         ``predicted`` holds per-counter totals of the exact predictions
         across all checks -- the flat keys
         ``cost.predicted.<counter>`` become the predicted-value columns
-        ``repro runs compare`` and ``runs trend`` diff between runs.
+        ``repro runs compare`` diffs between runs.
         """
         by_status: dict[str, int] = {}
         predicted: dict[str, int] = {}

@@ -31,7 +31,7 @@ class TableData:
     rows: tuple[tuple[object, ...], ...]
 
     def render(self) -> str:
-        """The ASCII rendering the benchmarks print."""
+        """The ASCII rendering ``repro run`` prints."""
         return format_table(self.headers, self.rows, title=self.title)
 
 
@@ -40,10 +40,9 @@ class ExperimentResult:
     """Outcome of one experiment run.
 
     ``metrics`` is the observability side-channel: ``run_experiment``
-    always records ``duration_s``; when run under a tracer (``repro
-    trace`` or the benchmark harness) the aggregated
-    :class:`~repro.obs.metrics.TraceMetrics` view is merged in under
-    ``"trace"``.
+    always records ``duration_s``; when run under ``repro trace`` the
+    aggregated :class:`~repro.obs.metrics.TraceMetrics` view is merged
+    in under ``"trace"``.
     """
 
     experiment_id: str

@@ -11,13 +11,11 @@ and a reading guide):
 * :mod:`repro.obs.exporters` -- JSONL files and human-readable summaries;
 * :mod:`repro.obs.metrics` -- :class:`TraceMetrics`, the aggregated
   per-round latency / messages / bits / queries view (nested and
-  flat-dotted-key forms);
+  flat-dotted-key forms), and :func:`counters_of`, its deterministic
+  counter fingerprint;
 * :mod:`repro.obs.monitor` -- :class:`InvariantMonitor`, live checks of
   the paper's resource budgets (memory <= s, communication <= s*m,
   query budgets, round prediction bands) with a strict hard-fail mode;
-* :mod:`repro.obs.baseline` -- bench counter fingerprints, the
-  committed ``benchmarks/baseline.json``, and the ``bench-compare``
-  regression gate;
 * :mod:`repro.obs.progress` -- :class:`LiveProgress`, a per-round
   progress renderer on the same stream;
 * :mod:`repro.obs.profile` -- :class:`SpanProfiler` hotspot self/cum
@@ -40,13 +38,8 @@ and a reading guide):
   intervals over the per-trial ``trial.result`` stream and the
   :class:`ConvergenceMonitor` (``estimate.converged`` events, "verdict
   not statistically resolved" flags);
-* :mod:`repro.obs.history` -- cross-run analytics over the registry:
-  the ``repro runs {list,show,compare,trend,gc}`` toolchain with a
-  rolling-window regression gate and flaky-verdict detection;
-* :mod:`repro.obs.trendstats` -- the shared trend arithmetic (rolling
-  gates, robust MAD z-scores, sparklines) behind both ``runs trend``
-  and the performance observatory's ``bench trend``
-  (:mod:`repro.perfwatch`).
+* :mod:`repro.obs.history` -- cross-run queries over the registry:
+  the ``repro runs {list,show,compare,gc}`` toolchain.
 
 Instrumentation lives in :mod:`repro.mpc.simulator`,
 :mod:`repro.oracle.counting`, :mod:`repro.ram.machine`, and
@@ -57,24 +50,13 @@ all reduces to one boolean check per site.
 from repro.obs.analysis import (
     CommMatrix,
     CriticalStep,
+    Drift,
     LocalityReport,
     TraceDiff,
     communication_matrix,
     critical_path,
     diff_traces,
     query_locality,
-)
-from repro.obs.baseline import (
-    BenchComparison,
-    BenchEntry,
-    Drift,
-    bench_payload,
-    compare_benchmarks,
-    counters_of,
-    load_baseline,
-    load_bench_dir,
-    save_baseline,
-    write_bench_json,
 )
 from repro.obs.convergence import (
     ConvergenceMonitor,
@@ -116,24 +98,13 @@ from repro.obs.query import (
     render_result,
     run_query,
 )
-from repro.obs.history import (
-    FlakyVerdict,
-    RunComparison,
-    TrendReport,
-    TrendSeries,
-    ascii_sparkline,
-    compare_runs,
-    render_runs_table,
-    trend_report,
-)
-from repro.obs.metrics import Distribution, TraceMetrics, flatten_dotted
-from repro.obs.trendstats import (
-    RollingGate,
-    mad,
-    median,
-    robust_z,
-    rolling_gate,
-    rolling_window,
+from repro.obs.history import RunComparison, compare_runs, render_runs_table
+from repro.obs.metrics import (
+    COUNTER_PATHS,
+    Distribution,
+    TraceMetrics,
+    counters_of,
+    flatten_dotted,
 )
 from repro.obs.monitor import InvariantMonitor, InvariantViolation, Violation
 from repro.obs.profile import (
@@ -145,7 +116,6 @@ from repro.obs.profile import (
 )
 from repro.obs.progress import LiveProgress
 from repro.obs.registry import (
-    BenchResult,
     RunRecord,
     RunRegistry,
     default_registry_path,
@@ -154,10 +124,8 @@ from repro.obs.registry import (
 )
 from repro.obs.report import (
     chrome_trace_events,
-    render_history_html,
     render_html,
     write_chrome_trace,
-    write_history_html,
     write_html_report,
 )
 from repro.obs.tracer import (
@@ -174,9 +142,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Anomaly",
-    "BenchComparison",
-    "BenchEntry",
-    "BenchResult",
+    "COUNTER_PATHS",
     "CausalContext",
     "CommMatrix",
     "ConvergenceMonitor",
@@ -185,7 +151,6 @@ __all__ = [
     "Divergence",
     "Drift",
     "EstimateStats",
-    "FlakyVerdict",
     "InvariantMonitor",
     "InvariantViolation",
     "JsonlExporter",
@@ -197,7 +162,6 @@ __all__ = [
     "Query",
     "QueryError",
     "QueryResult",
-    "RollingGate",
     "RoundMemorySampler",
     "RunComparison",
     "RunRecord",
@@ -211,20 +175,15 @@ __all__ = [
     "TraceMetrics",
     "TraceRecord",
     "Tracer",
-    "TrendReport",
-    "TrendSeries",
     "Violation",
     "WelfordAccumulator",
     "WilsonAccumulator",
-    "ascii_sparkline",
     "attach_estimates",
-    "bench_payload",
     "build_index",
     "causal_context",
     "chrome_trace_events",
     "coerce_jsonable",
     "communication_matrix",
-    "compare_benchmarks",
     "compare_runs",
     "counters_of",
     "critical_path",
@@ -239,35 +198,23 @@ __all__ = [
     "get_tracer",
     "git_sha",
     "iter_trace_records",
-    "load_baseline",
-    "load_bench_dir",
-    "mad",
-    "median",
     "parse_query",
     "phase",
     "profile_experiment",
     "query_locality",
     "read_jsonl",
     "render_divergence",
-    "render_history_html",
     "render_html",
     "render_result",
     "render_runs_table",
     "render_triage",
-    "robust_z",
-    "rolling_gate",
-    "rolling_window",
     "run_query",
-    "save_baseline",
     "set_tracer",
     "summarize",
-    "trend_report",
     "triage",
     "triage_file",
     "use_tracer",
-    "write_bench_json",
     "write_chrome_trace",
-    "write_history_html",
     "write_html_report",
     "write_jsonl",
 ]

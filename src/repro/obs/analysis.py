@@ -13,11 +13,9 @@ distributions, this module keeps the *structure*:
   queries (keyed by the stable ``key`` field ``oracle.query`` events
   carry), i.e. how well a per-machine memo cache would behave;
 * :func:`diff_traces` -- a structural **trace diff**: added/removed
-  record kinds, deterministic-counter deltas (the same
-  :func:`~repro.obs.baseline.counters_of` fingerprint the bench gate
-  uses, so ``repro trace-diff`` and ``repro bench-compare`` can never
-  disagree about what counts as drift), and advisory per-round latency
-  regressions.
+  record kinds, deterministic-counter deltas (the
+  :func:`~repro.obs.metrics.counters_of` fingerprint the run registry
+  also stores), and advisory per-round latency regressions.
 
 Everything here consumes plain ``TraceRecord`` sequences, so it works
 identically on a live ``tracer.records`` tuple and on a JSONL file
@@ -28,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.baseline import Drift, counters_of
-from repro.obs.metrics import TraceMetrics
+from repro.obs.metrics import TraceMetrics, counters_of
 from repro.telemetry.config import excluded_from_determinism
 
 __all__ = [
@@ -41,6 +38,7 @@ __all__ = [
     "LocalityReport",
     "query_locality",
     "LatencyRegression",
+    "Drift",
     "TraceDiff",
     "diff_traces",
 ]
@@ -251,6 +249,16 @@ class LatencyRegression:
     current_s: float
 
 
+@dataclass(frozen=True)
+class Drift:
+    """One deterministic counter whose value differs between two traces."""
+
+    experiment_id: str
+    key: str
+    baseline: float
+    current: float
+
+
 @dataclass
 class TraceDiff:
     """Structured difference between two traces of one workload.
@@ -258,8 +266,7 @@ class TraceDiff:
     ``notes`` are identity-level mismatches (different experiment ids);
     ``added_kinds`` / ``removed_kinds`` are record names present in one
     trace only; ``counter_drifts`` are deterministic-counter deltas
-    (fatal, same fingerprint as the bench gate); latency regressions
-    are wall-clock and therefore advisory.
+    (fatal); latency regressions are wall-clock and therefore advisory.
     """
 
     notes: list[str] = field(default_factory=list)
@@ -392,8 +399,8 @@ def diff_traces(
     Two runs of one seeded experiment -- even at different seeds of the
     *simulation's* wall clock, on different machines -- must produce
     zero structural differences: identical record-kind sets and
-    identical deterministic counters.  Counters reuse the bench gate's
-    fingerprint (:func:`~repro.obs.baseline.counters_of`).  Per-round
+    identical deterministic counters.  Counters are the registry's
+    fingerprint (:func:`~repro.obs.metrics.counters_of`).  Per-round
     latency is compared with relative ``latency_tolerance`` and an
     absolute ``min_latency_s`` noise floor; regressions are advisory.
 
@@ -433,7 +440,6 @@ def diff_traces(
         if b != c:
             diff.counter_drifts.append(Drift(
                 experiment_id=",".join(cur_ids) or "trace",
-                kind="counter",
                 key=key,
                 baseline=float(b),
                 current=float(c),

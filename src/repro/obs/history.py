@@ -1,25 +1,12 @@
-"""Historical trend analytics over the run registry.
+"""Cross-run queries over the run registry.
 
-The query layer behind ``repro runs {list,show,compare,trend,gc}``:
-given a :class:`~repro.obs.registry.RunRegistry`, it builds
-per-experiment time series of wall-clock and deterministic metrics and
-turns them into three cross-run signals no single trace can see:
-
-* **wall-clock regressions** -- a rolling-window gate: the latest run
-  of an experiment is compared against the mean of the previous
-  ``window`` runs; a relative slowdown beyond ``threshold`` is a
-  regression (``repro runs trend`` exits 1, the CI contract);
-* **flaky verdicts** -- experiments are deterministic (every RNG is
-  seeded), so two runs with the same ``(experiment, scale, seed)`` must
-  agree; a pass *and* a fail in the same group is a flake and fails
-  the trend gate;
-* **counter drift between any two runs** -- ``repro runs compare A B``
-  diffs two rows' bench fingerprints and deterministic metrics the way
-  ``bench-compare`` diffs a directory against a baseline.
-
-Sparklines: the terminal trend view renders each series with unicode
-block glyphs; ``repro runs trend -o trend.html`` reuses the HTML
-report's inline-SVG sparklines (:func:`repro.obs.report.render_history_html`).
+The query layer behind ``repro runs list`` and ``repro runs compare``:
+given a :class:`~repro.obs.registry.RunRegistry`, it renders the run
+table and diffs two rows' counter fingerprints and deterministic
+metrics.  Experiments seed every RNG, so any
+difference in those columns between two runs of one experiment is a
+behavior change, never scheduling noise; wall-clock is shown but never
+compared.
 """
 
 from __future__ import annotations
@@ -28,45 +15,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.obs.trendstats import ascii_sparkline, rolling_gate
 
 __all__ = [
     "RunComparison",
-    "TrendSeries",
-    "TrendReport",
-    "FlakyVerdict",
-    "metric_series",
     "compare_runs",
-    "trend_report",
     "render_runs_table",
-    "ascii_sparkline",
 ]
-
-
-def _metric_value(record: RunRecord, metric: str) -> float | None:
-    """One run's value of ``metric``: ``wall_s``, a counter, or a flat key."""
-    if metric == "wall_s":
-        return record.wall_s
-    if metric in record.counters:
-        return float(record.counters[metric])
-    value = record.metrics.get(metric)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return None
-
-
-def metric_series(
-    records: Sequence[RunRecord], metric: str = "wall_s"
-) -> tuple[list[int], list[float]]:
-    """``(run_ids, values)`` for the runs where ``metric`` is present."""
-    ids: list[int] = []
-    values: list[float] = []
-    for record in records:
-        value = _metric_value(record, metric)
-        if value is not None:
-            ids.append(record.run_id or 0)
-            values.append(value)
-    return ids, values
 
 
 # ---------------------------------------------------------------------------
@@ -145,222 +99,6 @@ def compare_runs(registry: RunRegistry, a: int, b: int) -> RunComparison:
     if ra.verdict != rb.verdict:
         comparison.metric_drifts.insert(0, ("verdict", ra.verdict, rb.verdict))
     return comparison
-
-
-# ---------------------------------------------------------------------------
-# runs trend
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlakyVerdict:
-    """One (experiment, scale, seed) group whose verdicts disagree."""
-
-    experiment_id: str
-    scale: str
-    seed: int | None
-    pass_ids: list[int]
-    fail_ids: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "scale": self.scale,
-            "seed": self.seed,
-            "pass_ids": self.pass_ids,
-            "fail_ids": self.fail_ids,
-        }
-
-
-@dataclass
-class TrendSeries:
-    """One experiment's chronological series of a single metric."""
-
-    experiment_id: str
-    metric: str
-    run_ids: list[int]
-    values: list[float]
-    window: int
-    threshold: float
-    min_delta: float = 0.0
-    baseline: float | None = None  # mean of the pre-latest window
-    latest: float | None = None
-    ratio: float | None = None
-    regressed: bool = False
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "metric": self.metric,
-            "run_ids": self.run_ids,
-            "values": [round(v, 6) for v in self.values],
-            "baseline": None if self.baseline is None else round(self.baseline, 6),
-            "latest": None if self.latest is None else round(self.latest, 6),
-            "ratio": None if self.ratio is None else round(self.ratio, 4),
-            "regressed": self.regressed,
-        }
-
-
-def _detect_regression(series: TrendSeries) -> None:
-    """Rolling-window gate: latest vs the mean of the previous window.
-
-    The arithmetic -- relative ``threshold`` gated by the absolute
-    ``min_delta`` noise floor -- is the shared
-    :func:`repro.obs.trendstats.rolling_gate`, the same primitive
-    ``repro bench trend`` builds its robust variant on.
-    """
-    gate = rolling_gate(
-        series.values,
-        window=series.window,
-        threshold=series.threshold,
-        min_delta=series.min_delta,
-    )
-    series.latest = gate.latest
-    series.baseline = gate.baseline
-    series.ratio = gate.ratio
-    series.regressed = gate.regressed
-
-
-@dataclass
-class TrendReport:
-    """The full ``repro runs trend`` outcome."""
-
-    metric: str
-    window: int
-    threshold: float
-    min_delta: float = 0.0
-    series: list[TrendSeries] = field(default_factory=list)
-    flaky: list[FlakyVerdict] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[TrendSeries]:
-        return [s for s in self.series if s.regressed]
-
-    @property
-    def failed(self) -> bool:
-        """The CI gate: any regression or any flaky verdict."""
-        return bool(self.regressions or self.flaky)
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "window": self.window,
-            "threshold": self.threshold,
-            "min_delta": self.min_delta,
-            "series": [s.to_dict() for s in self.series],
-            "regressions": [s.experiment_id for s in self.regressions],
-            "flaky": [f.to_dict() for f in self.flaky],
-            "failed": self.failed,
-        }
-
-    def render(self) -> str:
-        if not self.series:
-            return "runs trend: no runs recorded"
-        lines = [
-            f"runs trend: metric={self.metric}, window={self.window}, "
-            f"threshold={self.threshold:.0%}"
-        ]
-        width = max(len(s.experiment_id) for s in self.series)
-        for s in self.series:
-            spark = ascii_sparkline(s.values)
-            if s.latest is None:
-                detail = f"{s.n} run(s), need >= 2 for the gate"
-            else:
-                marker = "REGRESSION" if s.regressed else "ok"
-                detail = (
-                    f"latest {s.latest:g} vs window mean {s.baseline:g} "
-                    f"({s.ratio:.2f}x) {marker}"
-                )
-            lines.append(
-                f"  {s.experiment_id:<{width}}  {spark}  {detail}"
-            )
-        for flake in self.flaky:
-            lines.append(
-                f"  FLAKY {flake.experiment_id} (scale={flake.scale}, "
-                f"seed={flake.seed}): passed in runs {flake.pass_ids}, "
-                f"failed in runs {flake.fail_ids}"
-            )
-        if self.failed:
-            lines.append(
-                f"FAIL: {len(self.regressions)} regressions, "
-                f"{len(self.flaky)} flaky verdict group(s)"
-            )
-        else:
-            lines.append(
-                f"ok: no regressions across {len(self.series)} experiment(s)"
-            )
-        return "\n".join(lines)
-
-
-def _find_flaky(records: Sequence[RunRecord]) -> list[FlakyVerdict]:
-    groups: dict[tuple[str, str, int | None], dict[str, list[int]]] = {}
-    for record in records:
-        key = (record.experiment_id, record.scale, record.seed)
-        bucket = groups.setdefault(key, {"pass": [], "fail": []})
-        bucket[record.verdict if record.verdict in ("pass", "fail") else "fail"
-               ].append(record.run_id or 0)
-    out = []
-    for (experiment_id, scale, seed), bucket in sorted(groups.items()):
-        if bucket["pass"] and bucket["fail"]:
-            out.append(FlakyVerdict(
-                experiment_id, scale, seed, bucket["pass"], bucket["fail"]
-            ))
-    return out
-
-
-def trend_report(
-    registry: RunRegistry,
-    *,
-    experiment_id: str | None = None,
-    metric: str = "wall_s",
-    window: int = 5,
-    threshold: float = 0.5,
-    min_delta: float = 0.0,
-) -> TrendReport:
-    """Build the trend gate over recorded history.
-
-    ``metric`` is ``wall_s`` (default), any bench-counter name
-    (``mpc.rounds``), or any deterministic flat-metric key.  ``window``
-    is the number of pre-latest runs averaged into the baseline;
-    ``threshold`` the relative slowdown that fails the gate;
-    ``min_delta`` an absolute increase below which the gate never
-    fires (noise immunity for sub-second runs).
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    report = TrendReport(
-        metric=metric, window=window, threshold=threshold, min_delta=min_delta
-    )
-    ids = (
-        [experiment_id] if experiment_id is not None
-        else registry.experiment_ids()
-    )
-    all_records: list[RunRecord] = []
-    for eid in ids:
-        records = registry.runs(eid, newest_first=False)
-        all_records.extend(records)
-        run_ids, values = metric_series(records, metric)
-        if not values:
-            continue
-        series = TrendSeries(
-            experiment_id=eid,
-            metric=metric,
-            run_ids=run_ids,
-            values=values,
-            window=window,
-            threshold=threshold,
-            min_delta=min_delta,
-        )
-        _detect_regression(series)
-        report.series.append(series)
-    report.flaky = _find_flaky(all_records)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,24 @@ small integer ones (queries, messages per round) also carry an exact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.obs.tracer import TraceRecord
 
-__all__ = ["Distribution", "TraceMetrics", "flatten_dotted"]
+__all__ = [
+    "COUNTER_PATHS",
+    "Distribution",
+    "TraceMetrics",
+    "counters_of",
+    "flatten_dotted",
+]
 
 
 def flatten_dotted(node: dict, prefix: str = "") -> dict:
     """Flatten a nested mapping into sorted ``layer.metric[.stat]`` keys.
 
     The one flattening used everywhere a metrics tree meets a flat
-    consumer (bench counters, the HTML report's headline table,
+    consumer (the registry's metrics column, the HTML report's headline table,
     ``ExperimentResult.flat_metrics``); hand-rolled flattening of
     ``to_dict()`` output is deprecated in favor of this.
     """
@@ -163,7 +169,7 @@ class TraceMetrics:
     def to_flat_dict(self) -> dict:
         """:meth:`to_dict` flattened to one level with dotted keys.
 
-        The single key namespace shared by the HTML report, bench JSON,
+        The single key namespace shared by the HTML report,
         ``repro trace`` output, and ``run-all --json``: every leaf of
         the nested dict becomes ``layer.metric[.stat]``, e.g.
         ``mpc.rounds``, ``mpc.round_latency_s.mean``,
@@ -174,7 +180,7 @@ class TraceMetrics:
         return flatten_dotted(self.to_dict())
 
     def to_dict(self) -> dict:
-        """JSON-serializable view (what ``BENCH_*.json`` embeds)."""
+        """JSON-serializable view (what ``repro trace`` prints)."""
         return {
             "experiments": {k: round(v, 6) for k, v in self.experiments.items()},
             "mpc": {
@@ -198,3 +204,42 @@ class TraceMetrics:
                 "peak_memory_words": self.ram_peak_memory_words,
             },
         }
+
+
+#: Counter name -> path into ``TraceMetrics.to_dict()``.  Everything
+#: here is a deterministic model-level count; wall-clock lives outside.
+COUNTER_PATHS: dict[str, tuple[str, ...]] = {
+    "mpc.runs": ("mpc", "runs"),
+    "mpc.rounds": ("mpc", "rounds"),
+    "mpc.messages": ("mpc", "round_messages", "sum"),
+    "mpc.message_bits": ("mpc", "round_message_bits", "sum"),
+    "mpc.oracle_queries": ("mpc", "round_oracle_queries", "sum"),
+    "oracle.queries": ("oracle", "queries"),
+    "oracle.repeat_queries": ("oracle", "repeat_queries"),
+    "ram.runs": ("ram", "runs"),
+    "ram.instructions": ("ram", "instructions"),
+    "ram.time": ("ram", "time"),
+    "ram.oracle_queries": ("ram", "oracle_queries"),
+    "ram.peak_memory_words": ("ram", "peak_memory_words"),
+}
+
+
+def counters_of(metrics) -> dict[str, int]:
+    """The deterministic counter fingerprint of one trace's metrics.
+
+    The fingerprint ``repro trace-diff`` compares and the run registry
+    stores in its ``counters`` column.  Accepts a :class:`TraceMetrics`
+    instance or its ``to_dict()`` mapping.
+    """
+    if not isinstance(metrics, Mapping):
+        metrics = metrics.to_dict()
+    out: dict[str, int] = {}
+    for name, path in COUNTER_PATHS.items():
+        node: object = metrics
+        for key in path:
+            if not isinstance(node, Mapping) or key not in node:
+                node = 0
+                break
+            node = node[key]
+        out[name] = int(node)  # type: ignore[call-overload]
+    return out

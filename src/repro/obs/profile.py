@@ -219,11 +219,6 @@ class SpanProfiler:
         out.sort(key=lambda h: (-h.self_s, h.name))
         return out
 
-    def hotspot_map(self) -> dict[str, Hotspot]:
-        """Hotspots keyed by span name (the shape differential
-        profiling aligns on -- :mod:`repro.perfwatch.diffprof`)."""
-        return {h.name: h for h in self.hotspots()}
-
     def rounds(self) -> list[RoundProfile]:
         """Per-round latency decomposition, in round order."""
         return [self._rounds[k] for k in sorted(self._rounds)]

@@ -1,11 +1,9 @@
 """The persistent run registry: one SQLite row per experiment run.
 
 Every ``repro run`` / ``repro run-all`` invocation records its outcome
-into an **append-only** SQLite database, so regressions, flaky
-verdicts, and estimator convergence are observable *across* runs, not
-just within one trace.  The registry is the durable twin of the bench
-gate: where ``BENCH_*.json`` files capture one CI invocation, the
-registry accumulates every run ever made against a checkout.
+into an **append-only** SQLite database, so verdicts and deterministic
+counters can be compared *across* runs (``repro runs compare``), not
+just within one trace.
 
 Resolution order for the database path:
 
@@ -13,9 +11,9 @@ Resolution order for the database path:
 2. the ``REPRO_REGISTRY`` environment variable;
 3. ``~/.repro/runs.db`` (created on first write).
 
-One row per run (schema v3, ``PRAGMA user_version``; v1/v2 databases
+One row per run (schema v4, ``PRAGMA user_version``; older databases
 are migrated in place on open -- v1 gains the two nullable telemetry
-columns, and both gain the v3 ``bench_results`` table):
+columns, and every older file is stamped v4):
 
 | column | meaning |
 |---|---|
@@ -29,7 +27,7 @@ columns, and both gain the v3 ``bench_results`` table):
 | ``wall_s`` | wall-clock seconds (the one non-deterministic scalar) |
 | ``verdict`` | ``"pass"`` / ``"fail"`` (the shape-check verdict) |
 | ``metrics`` | JSON of **deterministic** flat metrics (wall-clock keys stripped -- see :func:`deterministic_metrics`) |
-| ``counters`` | JSON of the bench fingerprint (:func:`repro.obs.baseline.counters_of`) |
+| ``counters`` | JSON of the counter fingerprint (:func:`repro.obs.metrics.counters_of`) |
 | ``violations`` | invariant-monitor violation count |
 | ``rss_peak_kb`` | peak RSS sampled during the run (NULL without ``--telemetry``) |
 | ``overhead_frac`` | tracer self-overhead / wall-clock (NULL without ``--telemetry``) |
@@ -40,21 +38,13 @@ byte-identical ``metrics`` and ``counters`` columns -- only ``wall_s``
 and ``jobs`` differ.  Runtime-telemetry quantities (``telemetry.*``
 flat keys) are likewise stripped from ``metrics`` and live only in
 their own nullable columns, so a ``--telemetry`` run fingerprints
-identically to a plain one.  That is the property the history analytics
-(:mod:`repro.obs.history`) lean on: any cross-run difference in those
+identically to a plain one.  That is the property ``runs compare``
+(:mod:`repro.obs.history`) leans on: any cross-run difference in those
 columns is a behavior change, never scheduling noise.
 
-Schema v3 adds a second table, ``bench_results``: one row per
-``repro bench run`` measurement (:mod:`repro.perfwatch.suite`).  Where
-``runs`` rows are deterministic fingerprints with wall-clock as an
-advisory sidecar, ``bench_results`` rows are the opposite -- wall-clock
-*is* the payload (warmup + best-of-k timing), stamped with the
-environment fingerprint (git SHA, python, CPU model/cores, jobs) that
-makes cross-machine comparisons honest.  Bench rows never feed
-deterministic fingerprints; ``repro bench trend`` reads them for the
-wall-clock changepoint gate.  The table's ``backend`` column dates from
-when two execution backends existed; it is no longer written and keeps
-its ``'python'`` default.
+Schema v3 had a second table, ``bench_results``, for wall-clock bench
+rows.  v4 drops it from new files; a v3 file keeps the table and its
+rows as they are, unread, so migrating loses no data.
 """
 
 from __future__ import annotations
@@ -72,7 +62,6 @@ from repro.telemetry.config import TELEMETRY_NAME_PREFIX
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_REGISTRY",
-    "BenchResult",
     "RunRecord",
     "RunRegistry",
     "default_registry_path",
@@ -80,7 +69,7 @@ __all__ = [
     "git_sha",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: The home-directory default (``~`` expanded at open time).
 DEFAULT_REGISTRY = os.path.join("~", ".repro", "runs.db")
@@ -105,26 +94,6 @@ CREATE TABLE IF NOT EXISTS runs (
 );
 CREATE INDEX IF NOT EXISTS runs_experiment_ts
     ON runs (experiment_id, ts_utc);
-CREATE TABLE IF NOT EXISTS bench_results (
-    id            INTEGER PRIMARY KEY AUTOINCREMENT,
-    ts_utc        TEXT    NOT NULL,
-    git_sha       TEXT,
-    experiment_id TEXT    NOT NULL,
-    suite         TEXT    NOT NULL DEFAULT 'quick',
-    scale         TEXT    NOT NULL DEFAULT 'quick',
-    backend       TEXT    NOT NULL DEFAULT 'python',
-    jobs          INTEGER NOT NULL DEFAULT 1,
-    warmup        INTEGER NOT NULL DEFAULT 0,
-    repeats       INTEGER NOT NULL DEFAULT 1,
-    wall_s        REAL,
-    mean_s        REAL,
-    rss_peak_kb   REAL,
-    passed        INTEGER NOT NULL DEFAULT 1,
-    fingerprint   TEXT    NOT NULL DEFAULT '{}',
-    counters      TEXT    NOT NULL DEFAULT '{}'
-);
-CREATE INDEX IF NOT EXISTS bench_results_experiment_ts
-    ON bench_results (experiment_id, ts_utc);
 """
 
 #: Flat-metric keys (or key fragments) that measure wall-clock rather
@@ -286,57 +255,6 @@ class RunRecord:
         )
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    """One ``bench_results`` row: a wall-clock measurement with context.
-
-    ``wall_s`` is the **best-of-k** repeat (the robust point estimate
-    the changepoint gate trends), ``mean_s`` the mean of the same
-    repeats (spread diagnostic), ``rss_peak_kb`` the process RSS
-    high-water mark after the bench (advisory -- see
-    :mod:`repro.perfwatch.budgets`).  ``fingerprint`` is the
-    environment stamp (:func:`repro.perfwatch.suite.environment_fingerprint`)
-    and ``counters`` the deterministic model fingerprint of the traced
-    verification run -- carried for cross-reference, never trended.
-    """
-
-    experiment_id: str
-    wall_s: float | None
-    suite: str = "quick"
-    scale: str = "quick"
-    jobs: int = 1
-    warmup: int = 0
-    repeats: int = 1
-    mean_s: float | None = None
-    rss_peak_kb: float | None = None
-    passed: bool = True
-    fingerprint: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    ts_utc: str = ""
-    git_sha: str | None = None
-    bench_id: int | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-serializable view (``repro bench run --json`` rows)."""
-        return {
-            "bench_id": self.bench_id,
-            "ts_utc": self.ts_utc,
-            "git_sha": self.git_sha,
-            "experiment_id": self.experiment_id,
-            "suite": self.suite,
-            "scale": self.scale,
-            "jobs": self.jobs,
-            "warmup": self.warmup,
-            "repeats": self.repeats,
-            "wall_s": self.wall_s,
-            "mean_s": self.mean_s,
-            "rss_peak_kb": self.rss_peak_kb,
-            "passed": self.passed,
-            "fingerprint": self.fingerprint,
-            "counters": self.counters,
-        }
-
-
 class RunRegistry:
     """Append-only store of :class:`RunRecord` rows in one SQLite file.
 
@@ -357,7 +275,7 @@ class RunRegistry:
         if version == 0:
             self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             self._conn.commit()
-        elif version in (1, 2):
+        elif version in (1, 2, 3):
             # v1 -> v2: the two nullable telemetry columns.  Additive,
             # so old rows read back with NULLs and old readers of the
             # migrated file would still see every v1 column.
@@ -368,9 +286,8 @@ class RunRegistry:
                 self._conn.execute(
                     "ALTER TABLE runs ADD COLUMN overhead_frac REAL"
                 )
-            # v2 -> v3: the bench_results table, already created above
-            # by the idempotent schema script; only the version stamp
-            # moves.  Existing runs rows are untouched.
+            # v2 -> v3 -> v4: only the version stamp moves.  A v3
+            # file's bench_results table stays as it is, unread.
             self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             self._conn.commit()
         elif version != SCHEMA_VERSION:
@@ -422,37 +339,6 @@ class RunRegistry:
                 record.violations,
                 record.rss_peak_kb,
                 record.overhead_frac,
-            ),
-        )
-        self._conn.commit()
-        return int(cursor.lastrowid)
-
-    def record_bench(self, result: BenchResult) -> int:
-        """Append one bench measurement; returns its assigned row id."""
-        ts = result.ts_utc or datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        )
-        sha = result.git_sha if result.git_sha is not None else git_sha()
-        cursor = self._conn.execute(
-            "INSERT INTO bench_results (ts_utc, git_sha, experiment_id, "
-            "suite, scale, jobs, warmup, repeats, wall_s, mean_s, "
-            "rss_peak_kb, passed, fingerprint, counters) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                ts,
-                sha,
-                result.experiment_id,
-                result.suite,
-                result.scale,
-                result.jobs,
-                result.warmup,
-                result.repeats,
-                result.wall_s,
-                result.mean_s,
-                result.rss_peak_kb,
-                1 if result.passed else 0,
-                json.dumps(result.fingerprint, sort_keys=True),
-                json.dumps(result.counters, sort_keys=True),
             ),
         )
         self._conn.commit()
@@ -529,8 +415,8 @@ class RunRegistry:
     ) -> list[RunRecord]:
         """Rows, optionally filtered to one experiment.
 
-        ``newest_first=False`` returns chronological order (what the
-        trend analytics consume).
+        ``newest_first=False`` returns chronological order (what
+        iterating the registry yields).
         """
         sql = "SELECT * FROM runs"
         args: list = []
@@ -554,65 +440,6 @@ class RunRegistry:
                 "SELECT DISTINCT experiment_id FROM runs ORDER BY 1"
             )
         ]
-
-    # -- bench_results (schema v3) ----------------------------------------
-
-    @staticmethod
-    def _row_to_bench(row: sqlite3.Row) -> BenchResult:
-        return BenchResult(
-            bench_id=row["id"],
-            ts_utc=row["ts_utc"],
-            git_sha=row["git_sha"],
-            experiment_id=row["experiment_id"],
-            suite=row["suite"],
-            scale=row["scale"],
-            jobs=row["jobs"],
-            warmup=row["warmup"],
-            repeats=row["repeats"],
-            wall_s=row["wall_s"],
-            mean_s=row["mean_s"],
-            rss_peak_kb=row["rss_peak_kb"],
-            passed=bool(row["passed"]),
-            fingerprint=json.loads(row["fingerprint"] or "{}"),
-            counters=json.loads(row["counters"] or "{}"),
-        )
-
-    def bench_results(
-        self,
-        experiment_id: str | None = None,
-        *,
-        suite: str | None = None,
-        limit: int | None = None,
-        newest_first: bool = True,
-    ) -> list[BenchResult]:
-        """Bench rows, optionally filtered; chronological order feeds
-        the changepoint gate (``newest_first=False``)."""
-        sql = "SELECT * FROM bench_results"
-        clauses: list[str] = []
-        args: list = []
-        for column, value in (
-            ("experiment_id", experiment_id),
-            ("suite", suite),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                args.append(value)
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += f" ORDER BY id {'DESC' if newest_first else 'ASC'}"
-        if limit is not None:
-            sql += " LIMIT ?"
-            args.append(limit)
-        return [
-            self._row_to_bench(row)
-            for row in self._conn.execute(sql, args)
-        ]
-
-    def bench_count(self) -> int:
-        """Total bench_results rows."""
-        return int(self._conn.execute(
-            "SELECT COUNT(*) FROM bench_results"
-        ).fetchone()[0])
 
     def count(self) -> int:
         """Total rows."""

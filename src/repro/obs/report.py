@@ -38,8 +38,6 @@ __all__ = [
     "write_chrome_trace",
     "render_html",
     "write_html_report",
-    "render_history_html",
-    "write_history_html",
 ]
 
 
@@ -669,81 +667,3 @@ def write_html_report(records, path: str, *, title: str | None = None) -> int:
         fh.write(content)
     return len(content)
 
-
-# ---------------------------------------------------------------------------
-# Run-history report (registry trends)
-# ---------------------------------------------------------------------------
-
-
-def render_history_html(report) -> str:
-    """``repro runs trend -o trend.html``: registry history as HTML.
-
-    ``report`` is a :class:`~repro.obs.history.TrendReport`; each
-    experiment's series becomes an inline-SVG sparkline (the same
-    renderer the trace report uses) with the rolling-window verdict
-    alongside.  Self-contained like the trace report.
-    """
-    rows = []
-    for series in report.series:
-        if series.latest is None:
-            verdict = (
-                f"<span class='meta'>{series.n} run(s); gate needs "
-                "&ge; 2</span>"
-            )
-        elif series.regressed:
-            verdict = (
-                f"<span class='violation'>REGRESSION: latest "
-                f"{series.latest:g} vs window mean {series.baseline:g} "
-                f"({series.ratio:.2f}x)</span>"
-            )
-        else:
-            verdict = (
-                f"<span class='ok'>ok: latest {series.latest:g} vs "
-                f"window mean {series.baseline:g} "
-                f"({series.ratio:.2f}x)</span>"
-            )
-        rows.append(
-            f"<div class='sparkrow'>{_sparkline(series.values)}"
-            f"<strong>{_esc(series.experiment_id)}</strong> "
-            f"<span class='meta'>({series.n} runs, runs "
-            f"#{series.run_ids[0]}–#{series.run_ids[-1]})</span> "
-            f"{verdict}</div>"
-        )
-    flaky = []
-    for flake in report.flaky:
-        flaky.append(
-            f"<li class='violation'><code>{_esc(flake.experiment_id)}</code>"
-            f" (scale={_esc(flake.scale)}, seed={_esc(flake.seed)}): passed "
-            f"in runs {flake.pass_ids}, failed in runs {flake.fail_ids}</li>"
-        )
-    flaky_html = (
-        f"<ul>{''.join(flaky)}</ul>" if flaky
-        else "<p class='ok'>no flaky verdicts</p>"
-    )
-    status = (
-        "<p class='violation'>gate: FAIL</p>" if report.failed
-        else "<p class='ok'>gate: ok</p>"
-    )
-    title = f"run history — {_esc(report.metric)}"
-    parts = [
-        "<!doctype html><html lang='en'><head><meta charset='utf-8'>",
-        f"<title>{title}</title><style>{_CSS}</style></head><body>",
-        f"<h1>{title}</h1>",
-        f"<p class='meta'>rolling window {report.window}, threshold "
-        f"{report.threshold:.0%}; latest run vs window mean</p>",
-        status,
-        "<h2>Per-experiment history</h2>",
-        *(rows or ["<p class='meta'>no runs recorded</p>"]),
-        "<h2>Flaky verdicts</h2>",
-        flaky_html,
-        "</body></html>",
-    ]
-    return "".join(parts)
-
-
-def write_history_html(report, path: str) -> int:
-    """Write the run-history report; returns the number of bytes written."""
-    content = render_history_html(report)
-    with open(path, "w") as fh:
-        fh.write(content)
-    return len(content)

@@ -32,7 +32,7 @@ worker process for parallel runs, inline for serial ones); its records
 travel back with the result and the parent replays them onto the
 ambient stream tagged ``worker=<chunk> trial=<t>``
 (:meth:`~repro.obs.Tracer.replay`).  Metrics aggregation, the
-invariant monitors, and the bench-gate counter fingerprints therefore
+invariant monitors, and the counter fingerprints therefore
 see the same deterministic stream regardless of ``jobs`` -- the
 contract ``repro trace-diff`` enforces in CI.  The ``worker`` tag is
 the *chunk index* (deterministic), not the OS process id

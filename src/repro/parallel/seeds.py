@@ -25,9 +25,10 @@ leans on for deterministic fan-out.
 
 **Seed migration note.** Switching an experiment from its legacy
 arithmetic to :func:`trial_seed` changes which oracles/inputs its
-trials sample, so measured tables and the deterministic counters in
-``benchmarks/baseline.json`` shift *once* at the migration commit
-(regenerated knowingly there -- see docs/PERFORMANCE.md).  The legacy
+trials sample, so measured tables and the pinned deterministic counters
+(E-LINE's in ``tests/experiments/test_line_counters.py``) shift *once*
+at the migration commit (regenerated knowingly there -- see
+docs/PERFORMANCE.md).  The legacy
 formulas are kept in :data:`LEGACY_SEED_FORMULAS` so the old streams
 remain reproducible and the collision they suffered stays pinned by a
 regression test; they must not gain new callers.

@@ -4,10 +4,6 @@ Everything in :mod:`repro.obs` observes the **model** -- rounds,
 message bits, oracle queries, the quantities the paper bounds.  This
 package observes the **process running the model**:
 
-* :mod:`repro.telemetry.metrics` -- :class:`MetricsRegistry`
-  (counters / gauges / fixed-bucket histograms, dotted-flat snapshots,
-  Prometheus text exposition) and :class:`TelemetryCollector`, the
-  tracer subscriber that folds the record stream into a registry;
 * :mod:`repro.telemetry.sampler` -- :class:`ResourceSampler`, a
   background thread emitting periodic ``telemetry.sample`` events
   (RSS / peak RSS / CPU / GC / threads) from ``/proc/self`` +
@@ -18,8 +14,6 @@ package observes the **process running the model**:
   ranking, strict-mode hard fail);
 * :mod:`repro.telemetry.overhead` -- :class:`OverheadMeter`, tracer
   self-overhead accounting (``telemetry.overhead_frac``);
-* :mod:`repro.telemetry.top` -- :class:`TelemetryTop`, the ``repro
-  top`` live per-worker dashboard;
 * :mod:`repro.telemetry.config` -- the ambient on/off switch
   (:func:`use_telemetry` / ``REPRO_TELEMETRY``) plus deadline and
   interval knobs.
@@ -48,51 +42,29 @@ from repro.telemetry.heartbeat import (
     current_rss_kb,
     emit_heartbeat,
 )
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TelemetryCollector,
-    parse_prometheus,
-    render_prometheus,
-    write_prometheus,
-)
 from repro.telemetry.overhead import OverheadMeter, overhead_summary
 from repro.telemetry.sampler import (
     ResourceSampler,
     read_proc_status,
     resource_snapshot,
 )
-from repro.telemetry.top import TelemetryTop
 
 __all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
     "DEFAULT_SAMPLE_INTERVAL_S",
     "DEFAULT_STALL_DEADLINE_S",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "OverheadMeter",
     "ResourceSampler",
     "StallDetector",
     "TELEMETRY_NAME_PREFIX",
-    "TelemetryCollector",
-    "TelemetryTop",
     "current_rss_kb",
     "emit_heartbeat",
     "excluded_from_determinism",
     "overhead_summary",
-    "parse_prometheus",
     "read_proc_status",
-    "render_prometheus",
     "resolve_telemetry",
     "resource_snapshot",
     "sample_interval",
     "stall_deadline",
     "telemetry_enabled",
     "use_telemetry",
-    "write_prometheus",
 ]

@@ -21,7 +21,7 @@ watches whether each worker is still *making progress*.  Two halves:
   mode raises :class:`~repro.obs.InvariantViolation` exactly like the
   invariant monitor, so ``--strict-bounds`` exits 2 on a stalled
   worker.  The detector also keeps a per-worker straggler ranking for
-  the run summary and ``repro top``.
+  the run summary.
 
 Detection is *post-hoc by design*: a chunk's records ship back when
 the chunk completes, so a stall is flagged at collection time, not

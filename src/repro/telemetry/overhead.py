@@ -23,8 +23,8 @@ Accounting rules:
   thread; totals accumulate under a lock.
 * **Reported as** ``telemetry.overhead_frac`` -- fan-out seconds over
   experiment self-time -- in the run summary, the trace (a
-  ``telemetry.overhead`` event), the Prometheus exposition, and the
-  registry's ``overhead_frac`` column.
+  ``telemetry.overhead`` event), and the registry's ``overhead_frac``
+  column.
 """
 
 from __future__ import annotations

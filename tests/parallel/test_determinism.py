@@ -37,7 +37,7 @@ class TestExperimentEquivalence:
         assert serial == parallel
 
     def test_serial_vs_parallel_counters(self):
-        """Model-level counters (the bench-gate fingerprint) match too."""
+        """Model-level counters (the counter fingerprint) match too."""
         fingerprints = []
         for jobs in (1, 2):
             tracer = Tracer()

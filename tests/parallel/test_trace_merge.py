@@ -64,7 +64,7 @@ class TestCaptureAndReplay:
         assert msg.attrs["src"] == 0
 
     def test_counters_identical_serial_vs_parallel(self):
-        """The bench-gate fingerprint cannot depend on --jobs."""
+        """The counter fingerprint cannot depend on --jobs."""
         fingerprints = []
         for jobs in (1, 3):
             tracer = Tracer()

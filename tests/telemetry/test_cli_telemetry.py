@@ -1,4 +1,4 @@
-"""CLI-level telemetry tests: flags, metrics-out, stalls, top, runs list.
+"""CLI-level telemetry tests: flags, stalls, trace, runs list.
 
 Everything here uses the cheapest trial-parallel experiment (E-ENC-A,
 ~0.1s at quick scale) or T1 (milliseconds) so the suite stays fast.
@@ -10,7 +10,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import RunRegistry
-from repro.telemetry import parse_prometheus
 
 CHEAP_PAR = "E-ENC-A"
 
@@ -41,15 +40,6 @@ class TestRunTelemetry:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "telemetry" not in payload["metrics"]
-
-    def test_metrics_out_writes_parseable_prometheus(self, tmp_path, capsys):
-        out = tmp_path / "metrics.prom"
-        assert main(["run", CHEAP_PAR, "--telemetry", "--no-record",
-                     "--metrics-out", str(out), "--json"]) == 0
-        parsed = parse_prometheus(out.read_text())
-        assert parsed["repro_telemetry_heartbeats"] > 0
-        assert parsed["repro_experiments"] == 1
-        assert "repro_telemetry_rss_peak_kb" in parsed
 
     def test_telemetry_keeps_fingerprint(self, capsys):
         """Registry metrics must be byte-identical with telemetry on."""
@@ -83,36 +73,17 @@ class TestStallControl:
 
 
 class TestTraceTelemetry:
-    def test_trace_with_telemetry_and_metrics_out(self, tmp_path, capsys):
-        out = tmp_path / "metrics.prom"
+    def test_trace_with_telemetry(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert main(["trace", CHEAP_PAR, "--telemetry",
-                     "--trace-out", str(trace),
-                     "--metrics-out", str(out), "--json"]) == 0
+                     "--trace-out", str(trace), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["telemetry"]["heartbeats"] > 0
-        parsed = parse_prometheus(out.read_text())
-        assert parsed["repro_telemetry_heartbeats"] > 0
         names = {json.loads(line)["name"]
                  for line in trace.read_text().splitlines()}
         assert "telemetry.heartbeat" in names
         assert "telemetry.sample" in names
         assert "telemetry.overhead" in names
-
-
-class TestTop:
-    def test_top_renders_worker_lanes(self, capsys):
-        assert main(["top", CHEAP_PAR, "--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "heartbeats across" in captured.out
-        assert "worker" in captured.out
-        assert "top: E-ENC-A ok" in captured.err
-
-    def test_top_without_trial_loop_hints(self, capsys):
-        # T1 has no map_trials loop: zero heartbeats, but still a clean
-        # run plus the explanatory note.
-        assert main(["top", "T1"]) == 0
-        assert "no heartbeats" in capsys.readouterr().out
 
 
 class TestRunsListColumns:

@@ -398,76 +398,6 @@ class TestCrashSafeTraceOut:
         assert [r.name for r in read_jsonl(path)] == ["before-crash"]
 
 
-class TestBenchCli:
-    def _bench_dir(self, tmp_path, rounds=7):
-        import json
-
-        d = tmp_path / "bench"
-        d.mkdir(exist_ok=True)
-        (d / "BENCH_E-X.json").write_text(json.dumps({
-            "experiment_id": "E-X",
-            "duration_s": 0.5,
-            "passed": True,
-            "counters": {"mpc.runs": 1, "mpc.rounds": rounds},
-        }))
-        return d
-
-    def test_baseline_then_zero_drift(self, tmp_path, capsys):
-        d = self._bench_dir(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["bench-baseline", str(d), "-o", baseline]) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert main(["bench-compare", baseline, str(d)]) == 0
-        assert "zero counter drift" in capsys.readouterr().out
-
-    def test_counter_drift_fails(self, tmp_path, capsys):
-        d = self._bench_dir(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["bench-baseline", str(d), "-o", baseline]) == 0
-        self._bench_dir(tmp_path, rounds=8)  # regress: +1 round
-        capsys.readouterr()
-        assert main(["bench-compare", baseline, str(d)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "mpc.rounds" in out
-
-    def test_missing_bench_dir_exits_2(self, tmp_path, capsys):
-        d = self._bench_dir(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["bench-baseline", str(d), "-o", baseline]) == 0
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["bench-compare", baseline, str(empty)]) == 2
-
-    def test_require_all_flags_missing_experiment(self, tmp_path, capsys):
-        d = self._bench_dir(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["bench-baseline", str(d), "-o", baseline]) == 0
-        import json
-
-        (d / "BENCH_E-Y.json").write_text(json.dumps({
-            "experiment_id": "E-Y", "duration_s": 0.1, "passed": True,
-            "counters": {"mpc.runs": 0},
-        }))
-        assert main(["bench-baseline", str(d), "-o", baseline]) == 0
-        (d / "BENCH_E-Y.json").unlink()
-        capsys.readouterr()
-        assert main(["bench-compare", baseline, str(d)]) == 0
-        assert main(
-            ["bench-compare", baseline, str(d), "--require-all"]
-        ) == 1
-
-    def test_committed_baseline_loads(self):
-        from pathlib import Path
-
-        from repro.obs import load_baseline
-
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
-        baseline = load_baseline(str(path))
-        assert {"T1", "E-BOUND", "E-LINE"} <= set(baseline)
-        for entry in baseline.values():
-            assert entry.passed is True
-
-
 class TestListEnriched:
     def test_par_flag_marks_trial_parallel_experiments(self, capsys):
         assert main(["list"]) == 0
@@ -638,40 +568,6 @@ class TestRunsCli:
     def test_compare_missing_exits_2(self, tmp_path):
         db = self._seed(tmp_path)
         assert main(["runs", "compare", "1", "42", "--registry", db]) == 2
-
-    def test_trend_ok_then_regression(self, tmp_path, capsys):
-        db = self._seed(tmp_path, walls=(1.0, 1.0, 1.1))
-        assert main(["runs", "trend", "--registry", db]) == 0
-        assert "ok" in capsys.readouterr().out
-        slow = self._seed(tmp_path, walls=(1.0, 1.0, 9.0))
-        assert main(["runs", "trend", "--registry", slow]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_trend_min_delta_floor(self, tmp_path):
-        db = self._seed(tmp_path, walls=(0.001, 0.001, 0.005))
-        # 5x relative, but +4ms absolute: under the default 0.1s floor.
-        assert main(["runs", "trend", "--registry", db]) == 0
-        args = ["runs", "trend", "--registry", db, "--min-delta", "0"]
-        assert main(args) == 1
-
-    def test_trend_html(self, tmp_path, capsys):
-        import os
-
-        db = self._seed(tmp_path)
-        html = str(tmp_path / "history.html")
-        args = ["runs", "trend", "--registry", db, "--html", html]
-        assert main(args) == 0
-        assert os.path.getsize(html) > 0
-        assert "wrote" in capsys.readouterr().err
-
-    def test_trend_json(self, tmp_path, capsys):
-        import json
-
-        db = self._seed(tmp_path)
-        assert main(["runs", "trend", "--registry", db, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["failed"] is False
-        assert payload["regressions"] == []
 
     def test_gc_requires_arguments(self, tmp_path):
         db = self._seed(tmp_path)
