@@ -1,30 +1,46 @@
-"""Tests for bench counter fingerprints and the regression gate."""
+"""Tests for the counter fingerprint and the two comparisons that gate on it.
 
-import json
+``counters_of`` reduces a trace's metrics to 12 deterministic model
+counts.  ``repro trace-diff`` (:func:`repro.obs.analysis.diff_traces`)
+compares them between two traces and ``repro runs compare``
+(:func:`repro.obs.history.compare_runs`) between two registry rows.  In
+both, a counter or verdict difference fails and wall-clock time is only
+advisory.
+"""
 
 import pytest
 
-from repro.experiments.base import ExperimentResult
-from repro.obs import (
-    BenchEntry,
-    TraceMetrics,
-    TraceRecord,
-    compare_benchmarks,
-    counters_of,
-    load_baseline,
-    load_bench_dir,
-    save_baseline,
-    write_bench_json,
-)
-from repro.obs import bench_payload as make_bench_payload  # avoid bench_* collection
+from repro.obs import TraceMetrics, TraceRecord, counters_of, diff_traces
+from repro.obs.history import compare_runs
+from repro.obs.registry import RunRecord, RunRegistry
 
 
-def entry(experiment_id="E-LINE", rounds=100, wall_s=1.0, passed=True,
-          **overrides):
-    counters = {"mpc.runs": 9, "mpc.rounds": rounds, "oracle.queries": 42}
-    counters.update(overrides)
-    return BenchEntry(experiment_id=experiment_id, counters=counters,
-                      wall_s=wall_s, passed=passed)
+def trace(rounds=100, round_s=0.01, messages=0):
+    """One synthetic MPC run: ``rounds`` rounds of ``round_s`` seconds,
+    each sending ``messages`` 8-bit messages."""
+    records = [
+        TraceRecord("span", "mpc.round", k * round_s, round_s,
+                    {"round": k, "messages": messages,
+                     "message_bits": 8 * messages, "oracle_queries": 0})
+        for k in range(rounds)
+    ]
+    records.append(TraceRecord("span", "mpc.run", 0.0, rounds * round_s,
+                               {"rounds": rounds}))
+    return records
+
+
+def row(*, rounds=100, wall_s=1.0, verdict="pass"):
+    return RunRecord(
+        experiment_id="E-LINE", scale="quick", verdict=verdict, seed=7,
+        wall_s=wall_s,
+        counters={"mpc.runs": 9, "mpc.rounds": rounds, "oracle.queries": 42},
+    )
+
+
+@pytest.fixture()
+def registry(tmp_path):
+    with RunRegistry(str(tmp_path / "runs.db")) as reg:
+        yield reg
 
 
 class TestCounters:
@@ -59,229 +75,57 @@ class TestCounters:
         assert fingerprint["oracle.repeat_queries"] == 1
 
 
-class TestBenchFiles:
-    def payload(self, tmp_path):
-        result = ExperimentResult(
-            experiment_id="E-X", title="t", paper_claim="c",
-            summary="s", passed=True, metrics={"duration_s": 0.25},
-        )
-        payload = make_bench_payload(result, TraceMetrics(), scale="quick")
-        write_bench_json(payload, str(tmp_path))
-        return payload
-
-    def test_payload_written_and_loaded(self, tmp_path):
-        payload = self.payload(tmp_path)
-        assert payload["counters"]["mpc.rounds"] == 0
-        entries = load_bench_dir(str(tmp_path))
-        assert set(entries) == {"E-X"}
-        assert entries["E-X"].wall_s == 0.25
-        assert entries["E-X"].passed is True
-        assert entries["E-X"].counters == payload["counters"]
-
-    def test_pre_gate_payload_without_counters_still_loads(self, tmp_path):
-        """BENCH files written before the gate derive their fingerprint."""
-        path = tmp_path / "BENCH_OLD.json"
-        path.write_text(json.dumps({
-            "experiment_id": "OLD",
-            "duration_s": 1.0,
-            "passed": True,
-            "metrics": {"mpc": {"runs": 2, "rounds": 7}},
-        }))
-        entries = load_bench_dir(str(tmp_path))
-        assert entries["OLD"].counters["mpc.rounds"] == 7
-        assert entries["OLD"].counters["oracle.queries"] == 0
-
-    def test_empty_dir_loads_empty(self, tmp_path):
-        assert load_bench_dir(str(tmp_path)) == {}
-
-
-class TestBaselineFile:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        save_baseline({"E-LINE": entry(), "T1": entry("T1", rounds=0)}, path)
-        loaded = load_baseline(path)
-        assert set(loaded) == {"E-LINE", "T1"}
-        assert loaded["E-LINE"].counters["mpc.rounds"] == 100
-        assert loaded["E-LINE"].wall_s == pytest.approx(1.0)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(str(path))
-
-
 class TestCompare:
     def test_identical_entries_zero_drift(self):
-        comparison = compare_benchmarks(
-            {"E-LINE": entry()}, {"E-LINE": entry()}
-        )
-        assert comparison.compared == ["E-LINE"]
-        assert comparison.drifts == []
-        assert "zero counter drift" in comparison.render()
+        diff = diff_traces(trace(), trace())
+        assert diff.counter_drifts == []
+        assert not diff.has_differences
+        assert diff.rounds_compared == 100
+        assert "zero counter drift" in diff.render()
 
     def test_plus_one_round_regression_is_fatal(self):
-        """The acceptance case: a synthetic +1 rounds drift is flagged."""
-        comparison = compare_benchmarks(
-            {"E-LINE": entry(rounds=100)}, {"E-LINE": entry(rounds=101)}
-        )
-        (drift,) = comparison.drifts
-        assert drift.kind == "counter" and drift.fatal
+        """A synthetic +1 round drift is flagged, and is the only drift."""
+        diff = diff_traces(trace(rounds=100), trace(rounds=101))
+        (drift,) = diff.counter_drifts
         assert drift.key == "mpc.rounds"
         assert drift.baseline == 100 and drift.current == 101
-        assert comparison.fatal_drifts == [drift]
-        assert "FAIL" in comparison.render()
+        assert diff.has_differences  # trace-diff exits 1
+        assert "FAIL" in diff.render()
 
-    def test_wall_clock_regression_is_advisory(self):
-        comparison = compare_benchmarks(
-            {"E-LINE": entry(wall_s=1.0)},
-            {"E-LINE": entry(wall_s=2.0)},
-            time_tolerance=0.5,
-        )
-        (drift,) = comparison.drifts
-        assert drift.kind == "time" and not drift.fatal
-        assert comparison.fatal_drifts == []
-        assert "advisory" in comparison.render()
+    def test_wall_clock_regression_is_advisory(self, registry):
+        a = registry.record(row(wall_s=1.0))
+        b = registry.record(row(wall_s=2.0))
+        comparison = compare_runs(registry, a, b)
+        assert comparison.identical  # runs compare exits 0
+        assert "(2.00x, advisory)" in comparison.render()
 
     def test_wall_clock_within_tolerance_silent(self):
-        comparison = compare_benchmarks(
-            {"E-LINE": entry(wall_s=1.0)},
-            {"E-LINE": entry(wall_s=1.4)},
-            time_tolerance=0.5,
-        )
-        assert comparison.drifts == []
+        base = trace(round_s=0.010)
+        within = diff_traces(base, trace(round_s=0.014),
+                             latency_tolerance=0.5)
+        assert within.latency_regressions == []
+        assert "structurally identical" in within.render()
+        beyond = diff_traces(base, trace(round_s=0.016),
+                             latency_tolerance=0.5)
+        assert len(beyond.latency_regressions) == 100
+        assert not beyond.has_differences
 
-    def test_status_flip_is_fatal(self):
-        comparison = compare_benchmarks(
-            {"E-LINE": entry(passed=True)},
-            {"E-LINE": entry(passed=False)},
-        )
-        assert any(d.kind == "status" and d.fatal for d in comparison.drifts)
-
-    def test_missing_and_new_are_advisory(self):
-        comparison = compare_benchmarks(
-            {"A": entry("A"), "B": entry("B")},
-            {"B": entry("B"), "C": entry("C")},
-        )
-        kinds = {d.experiment_id: d.kind for d in comparison.drifts}
-        assert kinds == {"A": "missing", "C": "new"}
-        assert comparison.fatal_drifts == []
-        assert comparison.compared == ["B"]
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_benchmarks({}, {}, time_tolerance=-0.1)
+    def test_status_flip_is_fatal(self, registry):
+        a = registry.record(row(verdict="pass"))
+        b = registry.record(row(verdict="fail"))
+        comparison = compare_runs(registry, a, b)
+        assert not comparison.identical  # runs compare exits 1
+        assert comparison.counter_drifts == []
+        assert comparison.metric_drifts == [("verdict", "pass", "fail")]
+        assert "VERDICT pass -> fail" in comparison.render()
 
     def test_render_table_lists_each_drift(self):
-        comparison = compare_benchmarks(
-            {"E-LINE": entry(rounds=100)}, {"E-LINE": entry(rounds=101)}
-        )
-        text = comparison.render()
-        assert "mpc.rounds" in text
-        assert "100" in text and "101" in text
-        assert "COUNTER" in text
-
-
-class TestHardening:
-    """Malformed inputs degrade with a warning, not a crash."""
-
-    def test_baseline_with_null_counters_row(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": {
-                "E-LINE": {"counters": None, "wall_s": 1.0},
-                "E-RAM": None,
-                "E-GUESS": {"counters": {"mpc.rounds": 5}},
-            },
-        }))
-        entries = load_baseline(str(path))
-        assert entries["E-LINE"].counters == {}
-        assert entries["E-RAM"].counters == {}
-        assert entries["E-GUESS"].counters == {"mpc.rounds": 5}
-
-    def test_baseline_missing_experiment_counts_as_missing(self, tmp_path):
-        """A baselined experiment with an empty row compares per-key and
-        an absent one becomes a non-fatal 'missing' drift."""
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": {"A": {"counters": {"mpc.rounds": 1}}},
-        }))
-        baseline = load_baseline(str(path))
-        comparison = compare_benchmarks(
-            baseline, {"B": entry("B")}
-        )
-        kinds = {d.experiment_id: d.kind for d in comparison.drifts}
-        assert kinds["A"] == "missing"
-        assert not comparison.fatal_drifts
-
-    def test_bench_dir_skips_malformed_files(self, tmp_path):
-        (tmp_path / "BENCH_ok.json").write_text(json.dumps({
-            "experiment_id": "E-OK", "counters": {"mpc.rounds": 2},
-        }))
-        (tmp_path / "BENCH_noid.json").write_text(json.dumps({
-            "counters": {"mpc.rounds": 2},
-        }))
-        (tmp_path / "BENCH_junk.json").write_text("{not json")
-        with pytest.warns(RuntimeWarning):
-            entries = load_bench_dir(str(tmp_path))
-        assert list(entries) == ["E-OK"]
-
-    def test_bench_payload_null_metrics_tolerated(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text(json.dumps({
-            "experiment_id": "E-X", "metrics": None,
-        }))
-        entries = load_bench_dir(str(tmp_path))
-        assert entries["E-X"].counters["mpc.rounds"] == 0
-
-    def test_duplicate_experiment_last_file_wins(self, tmp_path):
-        """Two files claiming one experiment: warn, and the later file
-        in sorted scan order wins (deterministic last-write-wins)."""
-        (tmp_path / "BENCH_a.json").write_text(json.dumps({
-            "experiment_id": "E-DUP", "counters": {"mpc.rounds": 1},
-        }))
-        (tmp_path / "BENCH_b.json").write_text(json.dumps({
-            "experiment_id": "E-DUP", "counters": {"mpc.rounds": 2},
-        }))
-        with pytest.warns(RuntimeWarning, match="duplicate experiment"):
-            entries = load_bench_dir(str(tmp_path))
-        assert entries["E-DUP"].counters == {"mpc.rounds": 2}
-
-    def test_duplicate_warning_names_both_files(self, tmp_path):
-        (tmp_path / "BENCH_a.json").write_text(json.dumps({
-            "experiment_id": "E-DUP", "counters": {},
-        }))
-        (tmp_path / "BENCH_b.json").write_text(json.dumps({
-            "experiment_id": "E-DUP", "counters": {},
-        }))
-        with pytest.warns(RuntimeWarning) as caught:
-            load_bench_dir(str(tmp_path))
-        (message,) = [str(w.message) for w in caught]
-        assert "BENCH_a.json" in message
-        assert "BENCH_b.json" in message
-
-    def test_non_numeric_counter_values_dropped_with_warning(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text(json.dumps({
-            "experiment_id": "E-X",
-            "counters": {
-                "mpc.rounds": 7,
-                "mpc.note": "hand-edited",
-                "mpc.flaky": True,
-                "mpc.none": None,
-            },
-        }))
-        with pytest.warns(RuntimeWarning, match="non-numeric counter"):
-            entries = load_bench_dir(str(tmp_path))
-        assert entries["E-X"].counters == {"mpc.rounds": 7}
-
-    def test_non_mapping_counters_skips_file(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text(json.dumps({
-            "experiment_id": "E-BAD", "counters": [1, 2, 3],
-        }))
-        (tmp_path / "BENCH_ok.json").write_text(json.dumps({
-            "experiment_id": "E-OK", "counters": {"mpc.rounds": 1},
-        }))
-        with pytest.warns(RuntimeWarning, match="skipping malformed"):
-            entries = load_bench_dir(str(tmp_path))
-        assert list(entries) == ["E-OK"]
+        diff = diff_traces(trace(rounds=100, messages=1),
+                           trace(rounds=101, messages=1))
+        assert {d.key for d in diff.counter_drifts} == {
+            "mpc.rounds", "mpc.messages", "mpc.message_bits",
+        }
+        text = diff.render()
+        for d in diff.counter_drifts:
+            assert f"COUNTER {d.key}: {d.baseline:g} -> {d.current:g}" in text
+        assert "FAIL: 3 counter drifts" in text

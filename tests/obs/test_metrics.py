@@ -1,12 +1,6 @@
 """Tests for trace aggregation into TraceMetrics."""
 
-from repro.obs import (
-    Distribution,
-    TraceMetrics,
-    TraceRecord,
-    counters_of,
-    flatten_dotted,
-)
+from repro.obs import Distribution, TraceMetrics, TraceRecord, flatten_dotted
 
 
 def span(name, dur, **attrs):
@@ -126,35 +120,3 @@ class TestFlatDict:
         flat = flatten_dotted({"a": {"b": 1, "c": {"d": 2}}, "e": 3})
         assert flat == {"a.b": 1, "a.c.d": 2, "e": 3}
         assert list(flat) == sorted(flat)
-
-
-class TestCounters:
-    def test_empty_metrics_all_zero(self):
-        fingerprint = counters_of(TraceMetrics().to_dict())
-        assert set(fingerprint) == {
-            "mpc.runs", "mpc.rounds", "mpc.messages", "mpc.message_bits",
-            "mpc.oracle_queries", "oracle.queries", "oracle.repeat_queries",
-            "ram.runs", "ram.instructions", "ram.time", "ram.oracle_queries",
-            "ram.peak_memory_words",
-        }
-        assert all(v == 0 for v in fingerprint.values())
-
-    def test_extracts_model_counts_from_real_records(self):
-        records = [
-            TraceRecord("span", "mpc.run", 0.0, 0.1, {"rounds": 2}),
-            TraceRecord("span", "mpc.round", 0.0, 0.05,
-                        {"round": 0, "messages": 3, "message_bits": 24,
-                         "oracle_queries": 2}),
-            TraceRecord("span", "mpc.round", 0.05, 0.05,
-                        {"round": 1, "messages": 1, "message_bits": 8,
-                         "oracle_queries": 0}),
-            TraceRecord("event", "oracle.query", 0.0, None, {"repeat": False}),
-            TraceRecord("event", "oracle.query", 0.0, None, {"repeat": True}),
-        ]
-        fingerprint = counters_of(TraceMetrics.from_records(records).to_dict())
-        assert fingerprint["mpc.runs"] == 1
-        assert fingerprint["mpc.rounds"] == 2
-        assert fingerprint["mpc.messages"] == 4
-        assert fingerprint["mpc.message_bits"] == 32
-        assert fingerprint["oracle.queries"] == 2
-        assert fingerprint["oracle.repeat_queries"] == 1

@@ -160,9 +160,10 @@ class TestMigration:
         assert version == SCHEMA_VERSION == 4
         assert "bench_results" not in _tables(path)
 
-    def test_v2_database_migrates_to_v4(self, tmp_path):
-        """A v2 file (telemetry columns, no bench_results) is stamped v4
-        in place, keeps its rows readable and gains no bench table."""
+    def test_v2_database_migrates_to_v3(self, tmp_path):
+        """A v2 file (telemetry columns, no bench_results) takes the
+        v2 -> v3 step and on to the current v4, where only the stamp
+        moves: it keeps its rows readable and gains no bench table."""
         path = str(tmp_path / "v2.db")
         _make_v1_db(path)
         conn = sqlite3.connect(path)

@@ -73,7 +73,9 @@ class TestStallControl:
 
 
 class TestTraceTelemetry:
-    def test_trace_with_telemetry(self, tmp_path, capsys):
+    def test_trace_with_telemetry_and_metrics_out(self, tmp_path, capsys):
+        """Telemetry reaches both outputs of ``trace``: the ``--json``
+        metrics block and the ``--trace-out`` record stream."""
         trace = tmp_path / "t.jsonl"
         assert main(["trace", CHEAP_PAR, "--telemetry",
                      "--trace-out", str(trace), "--json"]) == 0
