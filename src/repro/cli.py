@@ -9,7 +9,7 @@
     python -m repro report trace.jsonl -o report.html [--format chrome-json]
     python -m repro trace E-LINE [--trace-out t.jsonl] [--strict-bounds]
     python -m repro profile E-LINE [--cprofile-span mpc.round] [--memory]
-    python -m repro trace-diff a.jsonl b.jsonl
+    python -m repro trace-diff a.jsonl b.jsonl [--context K] [--json]
     python -m repro cost show [chain ram.line] [--latex]
     python -m repro cost eval chain T=64 m=4 b=2 v=8 u=16 q=none R=40
     python -m repro cost check [E-LINE E-RAM] [--strict] [--trace t.jsonl]
@@ -35,9 +35,11 @@ docs/OBSERVABILITY.md).
 the per-span self/cumulative-time table plus the slowest rounds;
 ``--cprofile`` / ``--cprofile-span NAME`` attach ``cProfile`` (to the
 whole run, or to one span kind only), ``--memory`` samples per-round
-``tracemalloc`` peaks.  ``trace-diff`` structurally compares two JSONL
-traces (record kinds, the deterministic counter fingerprint,
-per-round latency) and exits 1 on structural drift.
+``tracemalloc`` peaks.  ``trace-diff`` compares two JSONL traces
+record by record and exits 1 at the first diverging record, which it
+prints with its causal window and the counter drift as context; what
+is compared (model attrs, never wall clock, host readings or the
+worker a trial ran on) is declared in :mod:`repro.obs.schema`.
 
 ``--jobs N`` (on ``run``/``run-all``/``trace``) fans the experiments'
 Monte-Carlo trial loops across N worker processes via
@@ -75,8 +77,8 @@ parent-side stall detector (``--stall-deadline SECONDS``; under
 ``--strict-bounds`` a stalled worker exits 2 like any invariant
 violation), and tracer self-overhead accounting
 (``telemetry.overhead_frac``).  Telemetry is excluded from every
-determinism contract: fingerprints, registry ``metrics``, and
-``trace-diff`` are bit-identical with it on or off.
+determinism contract: fingerprints and registry ``metrics`` are
+bit-identical with it on or off, and ``trace-diff`` skips its records.
 
 ``run`` and ``run-all`` append one row per experiment to the
 **persistent run registry** (``--registry PATH``, the ``REPRO_REGISTRY``
@@ -126,8 +128,8 @@ from repro.obs import (
     Tracer,
     build_index,
     compare_runs,
+    counter_drifts,
     counters_of,
-    diff_traces,
     ensure_index,
     explain_trace_files,
     get_tracer,
@@ -967,41 +969,27 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     if current is None:
         return 2
     try:
-        diff = diff_traces(
-            baseline(), current(), latency_tolerance=args.latency_tolerance
+        explained = explain_trace_files(
+            args.baseline, args.current, context=args.context
         )
-        explained = (
-            explain_trace_files(
-                args.baseline, args.current, context=args.context
-            )
-            if args.explain else None
-        )
+        drifts = counter_drifts(baseline, current) if explained else []
     except TraceFormatError as exc:
         return _trace_error(exc)
     if args.json:
-        payload = diff.to_dict()
-        if args.explain:
-            divergence, _ = explained or (None, None)
-            payload["first_divergence"] = (
-                divergence.to_dict() if divergence is not None else None
-            )
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({
+            "has_differences": explained is not None,
+            "first_divergence": explained[0].to_dict() if explained else None,
+            "counter_drifts": [
+                {"key": key, "baseline": b, "current": c}
+                for key, b, c in drifts
+            ],
+        }, indent=2))
+    elif explained is None:
+        print("trace-diff: no diverging record (identical record by "
+              "record; wall clock, host records and workers not compared)")
     else:
-        print(diff.render())
-        if args.explain:
-            print()
-            if explained is None:
-                print("explain: no diverging record (streams are "
-                      "identical up to excluded/volatile fields)")
-            else:
-                print(render_divergence(*explained))
-    # --explain can catch pure reorderings the counter/kind diff cannot,
-    # so a found divergence fails the gate even when the diff is clean.
-    if diff.has_differences or explained is not None:
-        return 1
-    if args.fail_on_latency and diff.latency_regressions:
-        return 1
-    return 0
+        print(render_divergence(*explained, drifts=drifts))
+    return 1 if explained else 0
 
 
 def _cost_unavailable(exc: CostModelUnavailable) -> int:
@@ -1134,6 +1122,13 @@ def _add_trace_out(parser: argparse.ArgumentParser, *, on_sub: bool) -> None:
         default=argparse.SUPPRESS if on_sub else None,
         help="stream a JSONL trace of the run to PATH",
     )
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -1367,35 +1362,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     diff_p = sub.add_parser(
         "trace-diff",
-        help="structurally compare two JSONL traces (exit 1 on drift)",
+        help="compare two JSONL traces record by record (exit 1 at the "
+        "first diverging record, printed with its causal window and "
+        "the counter drift)",
     )
     diff_p.add_argument("baseline", help="baseline trace (JSONL)")
     diff_p.add_argument("current", help="current trace (JSONL)")
     diff_p.add_argument(
-        "--latency-tolerance",
-        type=float,
-        default=0.5,
-        metavar="FRAC",
-        help="relative per-round latency slack before a regression is "
-        "reported (default 0.5 = 50%%)",
-    )
-    diff_p.add_argument(
-        "--fail-on-latency",
-        action="store_true",
-        help="exit nonzero on per-round latency regressions too "
-        "(default: advisory)",
-    )
-    diff_p.add_argument(
-        "--explain",
-        action="store_true",
-        help="on drift, bisect both streams to the first diverging "
-        "record and print it with its causal window (enclosing spans, "
-        "same-machine predecessors, messages in flight); a found "
-        "divergence exits 1 even when the counter diff is clean",
-    )
-    diff_p.add_argument(
         "--context",
-        type=int,
+        type=_non_negative_int,
         default=5,
         metavar="K",
         help="records of stream context around the divergence "

@@ -22,13 +22,15 @@ and a reading guide):
   times, span-scoped ``cProfile``, per-round ``tracemalloc`` peaks
   (``repro profile``);
 * :mod:`repro.obs.analysis` -- communication matrices, critical path,
-  oracle-query locality, and the structural trace diff
-  (``repro trace-diff``);
+  and oracle-query locality;
 * :mod:`repro.obs.report` -- the self-contained HTML report and the
   Chrome/Perfetto trace export (``repro report <trace.jsonl>``);
 * :mod:`repro.obs.forensics` -- the columnar SQLite trace index
-  (``repro index``), the first-divergence explainer
-  (``trace-diff --explain``), and anomaly triage (``repro why``);
+  (``repro index``), the record-by-record trace comparison
+  (``repro trace-diff``), and anomaly triage (``repro why``);
+* :mod:`repro.obs.schema` -- every record name and its attrs, each
+  marked model data or volatile: the one definition of what the
+  determinism checks compare;
 * :mod:`repro.obs.query` -- the filter/aggregate query language over
   an indexed trace (``repro query``);
 * :mod:`repro.obs.registry` -- :class:`RunRegistry`, the append-only
@@ -50,12 +52,9 @@ all reduces to one boolean check per site.
 from repro.obs.analysis import (
     CommMatrix,
     CriticalStep,
-    Drift,
     LocalityReport,
-    TraceDiff,
     communication_matrix,
     critical_path,
-    diff_traces,
     query_locality,
 )
 from repro.obs.convergence import (
@@ -82,6 +81,7 @@ from repro.obs.forensics import (
     TraceIndex,
     build_index,
     causal_context,
+    counter_drifts,
     ensure_index,
     explain_divergence,
     explain_trace_files,
@@ -149,7 +149,6 @@ __all__ = [
     "CriticalStep",
     "Distribution",
     "Divergence",
-    "Drift",
     "EstimateStats",
     "InvariantMonitor",
     "InvariantViolation",
@@ -169,7 +168,6 @@ __all__ = [
     "ScopedCProfile",
     "SpanHook",
     "SpanProfiler",
-    "TraceDiff",
     "TraceFormatError",
     "TraceIndex",
     "TraceMetrics",
@@ -185,11 +183,11 @@ __all__ = [
     "coerce_jsonable",
     "communication_matrix",
     "compare_runs",
+    "counter_drifts",
     "counters_of",
     "critical_path",
     "default_registry_path",
     "deterministic_metrics",
-    "diff_traces",
     "ensure_index",
     "estimates_from_records",
     "explain_divergence",

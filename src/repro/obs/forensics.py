@@ -10,10 +10,11 @@ something diverged.  This module answers *where and why*:
   ``round``, ``messages``, ...) promoted to real columns and the rest
   reachable through ``json_extract``, so a multi-hundred-MB trace is
   queryable without ever loading the JSONL into memory;
-* :func:`explain_divergence` -- lockstep-bisect two record streams to
-  the **first diverging record** (``repro trace-diff --explain``),
-  classified as extra / missing / changed and localized to a machine
-  and round;
+* :func:`explain_divergence` -- the record-by-record comparison behind
+  ``repro trace-diff``: two record streams in lockstep up to the
+  **first diverging record**, classified as extra / missing / changed
+  and localized to a machine and round, with :func:`counter_drifts`
+  as context;
 * :func:`causal_context` -- the ±k window around a divergence: the
   enclosing span chain (experiment > mpc.run > mpc.round), the last
   records on the same machine, and the messages in flight into that
@@ -23,13 +24,12 @@ something diverged.  This module answers *where and why*:
   per-round counter deltas (``repro why``, and the report's
   "Forensics" section).
 
-All comparisons honor the exclusion contract
-(:func:`repro.telemetry.excluded_from_determinism`): ``telemetry.*``
-records are invisible to the bisection, so the explainer never names a
-telemetry record as a divergence.  Wall-clock attrs (``dur`` on
-``mpc.machine_step``, sampler readings) are likewise stripped from
-record identity -- two runs of the same tree diverge on *model*
-quantities only.
+What is compared is declared once, in :mod:`repro.obs.schema`: host
+records (``telemetry.*``) are invisible to the comparison, so it never
+names one as a divergence, and volatile attrs (wall clock, host
+readings, the ``worker`` a trial ran on) are stripped from record
+identity -- two runs of the same tree diverge on *model* quantities
+only.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs.exporters import iter_trace_records
+from repro.obs.metrics import TraceMetrics, counters_of
+from repro.obs.schema import HOST_NAMES, model_attrs
 from repro.obs.tracer import TraceRecord
-from repro.telemetry.config import excluded_from_determinism
 
 __all__ = [
     "ANOMALY_NAMES",
@@ -54,10 +55,10 @@ __all__ = [
     "PROMOTED_ATTRS",
     "SCHEMA_VERSION",
     "TraceIndex",
-    "VOLATILE_ATTRS",
     "build_index",
     "canonical_identity",
     "causal_context",
+    "counter_drifts",
     "default_index_path",
     "ensure_index",
     "explain_divergence",
@@ -248,23 +249,8 @@ class TraceIndex:
 
 
 # --------------------------------------------------------------------------
-# First-divergence explainer
+# Record-by-record comparison
 # --------------------------------------------------------------------------
-
-#: Attr keys carrying wall-clock or host readings; excluded from record
-#: identity so two runs of the same tree compare equal.  ``ts`` never
-#: participates (it is not an attr), and whole ``telemetry.*`` records
-#: are dropped before comparison.
-VOLATILE_ATTRS = frozenset({
-    "dur",
-    "duration_s",
-    "wall_s",
-    "elapsed_s",
-    "cpu_s",
-    "rss_kb",
-    "rss_peak_kb",
-    "overhead_frac",
-})
 
 #: How far past a mismatch the bisector looks to classify it as an
 #: insertion or deletion rather than an in-place change.
@@ -282,13 +268,10 @@ def _replay(source: RecordSource) -> Iterable[TraceRecord]:
 
 def canonical_identity(record: TraceRecord) -> tuple:
     """The comparison key of one record: model quantities only."""
-    attrs = {
-        k: v for k, v in record.attrs.items() if k not in VOLATILE_ATTRS
-    }
     return (
         record.kind,
         record.name,
-        json.dumps(attrs, sort_keys=True, default=repr),
+        json.dumps(model_attrs(record), sort_keys=True, default=repr),
     )
 
 
@@ -297,7 +280,7 @@ class _Slot:
     """One comparable record with its position bookkeeping."""
 
     seq: int        # index in the raw stream (causal-window addressing)
-    pos: int        # index in the comparison stream (excluded skipped)
+    pos: int        # index in the comparison stream (host records skipped)
     record: TraceRecord
     canon: tuple
     machine: int | None
@@ -314,7 +297,7 @@ def _comparable(source: RecordSource) -> Iterator[_Slot]:
             last_machine = a["machine"]
         if "round" in a:
             last_round = a["round"]
-        if excluded_from_determinism(record.name):
+        if record.name in HOST_NAMES:
             continue
         yield _Slot(
             seq=seq,
@@ -385,9 +368,9 @@ class Divergence:
 
 def _attr_diff(base: TraceRecord, cur: TraceRecord) -> dict[str, tuple]:
     out: dict[str, tuple] = {}
-    keys = (set(base.attrs) | set(cur.attrs)) - VOLATILE_ATTRS
-    for key in sorted(keys):
-        b, c = base.attrs.get(key), cur.attrs.get(key)
+    base_attrs, cur_attrs = model_attrs(base), model_attrs(cur)
+    for key in sorted(set(base_attrs) | set(cur_attrs)):
+        b, c = base_attrs.get(key), cur_attrs.get(key)
         if b != c:
             out[key] = (b, c)
     return out
@@ -405,8 +388,8 @@ def explain_divergence(
     records (``"extra"``); if the current record reappears in the
     baseline the current side dropped records (``"missing"``); else the
     record changed in place (``"changed"``, with a per-attr diff).
-    ``telemetry.*`` records are invisible here -- they can never be
-    named as the divergence.
+    Host records (:data:`repro.obs.schema.HOST_NAMES`) are invisible
+    here -- they can never be named as the divergence.
     """
     base_it = _comparable(baseline)
     cur_it = _comparable(current)
@@ -545,9 +528,15 @@ def _summarize_record(record: TraceRecord, *, attr_limit: int = 6) -> str:
 
 
 def render_divergence(
-    divergence: Divergence, ctx: CausalContext | None = None
+    divergence: Divergence,
+    ctx: CausalContext | None = None,
+    drifts: Sequence[tuple[str, float, float]] = (),
 ) -> str:
-    """The ``trace-diff --explain`` text block."""
+    """The ``trace-diff`` text block for one divergence.
+
+    ``drifts`` (from :func:`counter_drifts`) are printed as context:
+    they say how far the fingerprint moved, not where.
+    """
     d = divergence
     where = []
     if d.machine is not None:
@@ -572,6 +561,10 @@ def render_divergence(
         lines.append(
             f"  current is missing: {_summarize_record(d.record)}"
         )
+    if drifts:
+        lines.append("  counter drift:")
+        for key, b, c in drifts:
+            lines.append(f"    COUNTER {key}: {b:g} -> {c:g}")
     if ctx is None:
         return "\n".join(lines)
     if ctx.parents:
@@ -623,6 +616,25 @@ def explain_trace_files(
         context=context,
     )
     return divergence, ctx
+
+
+def counter_drifts(
+    baseline: RecordSource, current: RecordSource
+) -> list[tuple[str, float, float]]:
+    """``(key, baseline, current)`` for each fingerprint counter that differs.
+
+    One pass over each stream, folding it into the
+    :func:`~repro.obs.metrics.counters_of` fingerprint.  Context for a
+    divergence only: a reordering or a changed attr diverges with no
+    counter drift at all.
+    """
+    base = counters_of(TraceMetrics.from_records(_replay(baseline)))
+    cur = counters_of(TraceMetrics.from_records(_replay(current)))
+    return [
+        (key, float(base[key]), float(cur[key]))
+        for key in sorted(base)
+        if base[key] != cur[key]
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -748,7 +760,7 @@ def triage(records: RecordSource) -> list[Anomaly]:
                     f"#{i} {_summarize_record(r)}" for i, r in recent
                 ],
             ))
-        if not excluded_from_determinism(record.name):
+        if record.name not in HOST_NAMES:
             recent.append((seq, record))
     for anomaly in anomalies:
         parents = [

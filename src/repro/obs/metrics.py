@@ -227,9 +227,10 @@ COUNTER_PATHS: dict[str, tuple[str, ...]] = {
 def counters_of(metrics) -> dict[str, int]:
     """The deterministic counter fingerprint of one trace's metrics.
 
-    The fingerprint ``repro trace-diff`` compares and the run registry
-    stores in its ``counters`` column.  Accepts a :class:`TraceMetrics`
-    instance or its ``to_dict()`` mapping.
+    The fingerprint the run registry stores in its ``counters`` column;
+    ``repro trace-diff`` prints its drift as context when two traces
+    diverge.  Accepts a :class:`TraceMetrics` instance or its
+    ``to_dict()`` mapping.
     """
     if not isinstance(metrics, Mapping):
         metrics = metrics.to_dict()

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator, Mapping
 
-from repro.telemetry.config import TELEMETRY_NAME_PREFIX
+from repro.obs.schema import volatile_metric
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -96,17 +96,6 @@ CREATE INDEX IF NOT EXISTS runs_experiment_ts
     ON runs (experiment_id, ts_utc);
 """
 
-#: Flat-metric keys (or key fragments) that measure wall-clock rather
-#: than model behavior; stripped before a row is stored so the
-#: ``metrics`` column is deterministic at every ``--jobs N``.
-_WALL_CLOCK_KEYS = ("duration_s",)
-_WALL_CLOCK_FRAGMENTS = (".round_latency_s.", ".wall_s")
-_WALL_CLOCK_PREFIXES = (
-    "trace.experiments.",
-    "experiments.",
-    TELEMETRY_NAME_PREFIX,
-)
-
 
 def deterministic_metrics(flat: Mapping) -> dict:
     """``flat`` minus every wall-clock key, sorted.
@@ -118,17 +107,10 @@ def deterministic_metrics(flat: Mapping) -> dict:
     latency stats, per-experiment wall-clock) and runtime-telemetry
     readings (``telemetry.*`` -- RSS, CPU, sample counts, overhead
     fractions; those go in the dedicated nullable columns instead).
+    Which keys those are is declared in :mod:`repro.obs.schema`
+    (:func:`~repro.obs.schema.volatile_metric`).
     """
-    out = {}
-    for key, value in flat.items():
-        if key in _WALL_CLOCK_KEYS:
-            continue
-        if any(f in key for f in _WALL_CLOCK_FRAGMENTS):
-            continue
-        if any(key.startswith(p) for p in _WALL_CLOCK_PREFIXES):
-            continue
-        out[key] = value
-    return dict(sorted(out.items()))
+    return {key: flat[key] for key in sorted(flat) if not volatile_metric(key)}
 
 
 _GIT_SHA_CACHE: dict[str, str | None] = {}
@@ -430,15 +412,6 @@ class RunRegistry:
         return [
             self._row_to_record(row)
             for row in self._conn.execute(sql, args)
-        ]
-
-    def experiment_ids(self) -> list[str]:
-        """Distinct experiments recorded, sorted."""
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT DISTINCT experiment_id FROM runs ORDER BY 1"
-            )
         ]
 
     def count(self) -> int:

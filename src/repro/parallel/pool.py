@@ -24,7 +24,8 @@ that cannot be pickled (a lambda, a closure) all run inline in the
 parent process -- the non-picklable case emits one ``RuntimeWarning``
 and degrades gracefully instead of crashing.  The serial path uses the
 *same* capture-and-replay tracing as the parallel one, so the trace a
-run produces is structurally identical at every ``jobs`` value.
+run produces is identical record by record at every ``jobs`` value,
+apart from the ``worker`` tag.
 
 **Worker-side observability.**  When the ambient tracer is enabled,
 each trial runs under a private :class:`~repro.obs.Tracer` (in the
@@ -35,8 +36,10 @@ ambient stream tagged ``worker=<chunk> trial=<t>``
 invariant monitors, and the counter fingerprints therefore
 see the same deterministic stream regardless of ``jobs`` -- the
 contract ``repro trace-diff`` enforces in CI.  The ``worker`` tag is
-the *chunk index* (deterministic), not the OS process id
-(scheduler-dependent).
+the *chunk index*, not the OS process id (scheduler-dependent); it
+still changes with ``jobs`` (serial runs report 0), so
+:mod:`repro.obs.schema` declares it volatile and ``trace-diff`` never
+compares it.
 
 **Worker heartbeats.**  When runtime telemetry is on
 (:func:`repro.telemetry.use_telemetry` / ``REPRO_TELEMETRY``) and
@@ -46,8 +49,8 @@ the worker's RSS -- which the parent-side
 :class:`repro.telemetry.StallDetector` turns into ``telemetry.stall``
 violations and straggler rankings.  Heartbeat *count* is one per trial
 on both the serial and parallel paths, so it is deterministic; the
-payloads (wall-clock, RSS) are not, which is why ``telemetry.*`` names
-are excluded from the trace-diff contract.
+payloads (wall-clock, RSS) are not, which is why the ``telemetry.*``
+names are host records that ``trace-diff`` skips whole.
 
 **Failure semantics.**  A trial that raises aborts the map: the
 original exception propagates in the parent with ``.trial_index`` set

@@ -18,19 +18,19 @@ package observes the **process running the model**:
   (:func:`use_telemetry` / ``REPRO_TELEMETRY``) plus deadline and
   interval knobs.
 
-Telemetry is opt-in and deterministic-by-exclusion: ``telemetry.*``
-record names are ignored by the structural trace diff, excluded from
-:func:`repro.obs.registry.deterministic_metrics`, and stored in their
-own nullable registry columns (``rss_peak_kb`` / ``overhead_frac``),
-so fingerprints stay bit-identical with telemetry on or off, at any
-``--jobs N``.  See docs/OBSERVABILITY.md, "Runtime telemetry".
+Telemetry is opt-in and deterministic-by-exclusion: the ``telemetry.*``
+names are host records in :mod:`repro.obs.schema`, skipped whole by
+``repro trace-diff``; their flat metric keys are dropped by
+:func:`repro.obs.registry.deterministic_metrics` and their readings
+stored in their own nullable registry columns (``rss_peak_kb`` /
+``overhead_frac``), so fingerprints stay bit-identical with telemetry
+on or off, at any ``--jobs N``.  See docs/OBSERVABILITY.md, "Runtime
+telemetry".
 """
 
 from repro.telemetry.config import (
     DEFAULT_SAMPLE_INTERVAL_S,
     DEFAULT_STALL_DEADLINE_S,
-    TELEMETRY_NAME_PREFIX,
-    excluded_from_determinism,
     resolve_telemetry,
     sample_interval,
     stall_deadline,
@@ -42,7 +42,7 @@ from repro.telemetry.heartbeat import (
     current_rss_kb,
     emit_heartbeat,
 )
-from repro.telemetry.overhead import OverheadMeter, overhead_summary
+from repro.telemetry.overhead import OverheadMeter
 from repro.telemetry.sampler import (
     ResourceSampler,
     read_proc_status,
@@ -55,11 +55,8 @@ __all__ = [
     "OverheadMeter",
     "ResourceSampler",
     "StallDetector",
-    "TELEMETRY_NAME_PREFIX",
     "current_rss_kb",
     "emit_heartbeat",
-    "excluded_from_determinism",
-    "overhead_summary",
     "read_proc_status",
     "resolve_telemetry",
     "resource_snapshot",

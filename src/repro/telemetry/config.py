@@ -32,33 +32,12 @@ from typing import Iterator
 __all__ = [
     "DEFAULT_SAMPLE_INTERVAL_S",
     "DEFAULT_STALL_DEADLINE_S",
-    "TELEMETRY_NAME_PREFIX",
-    "excluded_from_determinism",
     "resolve_telemetry",
     "sample_interval",
     "stall_deadline",
     "telemetry_enabled",
     "use_telemetry",
 ]
-
-#: Every telemetry record name starts with this prefix; it is the
-#: single marker all determinism contracts key off.
-TELEMETRY_NAME_PREFIX = "telemetry."
-
-
-def excluded_from_determinism(name: str) -> bool:
-    """True when a record name is outside every determinism contract.
-
-    The **exclusion contract** in one place: ``telemetry.*`` records
-    describe the *host* (RSS, CPU, heartbeats, stalls, tracer
-    overhead), never the model, so ``trace-diff``, the first-divergence
-    explainer, ``counters_of`` fingerprints, and the run registry's
-    deterministic metrics must all ignore them -- a telemetry-on trace
-    diffs clean against a telemetry-off baseline, and the explainer
-    never names a telemetry record as a divergence.  Consumers import
-    this predicate instead of re-spelling the prefix.
-    """
-    return name.startswith(TELEMETRY_NAME_PREFIX)
 
 #: Seconds between ``telemetry.sample`` emissions (override with
 #: ``REPRO_TELEMETRY_INTERVAL``).  50ms keeps sub-second runs to a

@@ -34,7 +34,7 @@ import time
 
 from repro.obs.tracer import Tracer
 
-__all__ = ["OverheadMeter", "overhead_summary"]
+__all__ = ["OverheadMeter"]
 
 
 class OverheadMeter:
@@ -90,8 +90,3 @@ class OverheadMeter:
         if wall_s is not None:
             out["overhead_frac"] = round(self.frac(wall_s), 6)
         return out
-
-
-def overhead_summary(meter: OverheadMeter, wall_s: float | None) -> dict:
-    """Module-level alias of :meth:`OverheadMeter.summary`."""
-    return meter.summary(wall_s)

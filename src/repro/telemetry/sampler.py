@@ -10,9 +10,9 @@ sampler degrades to the ``getrusage`` subset instead of failing.
 
 Samples are wall-clock-paced and therefore **non-deterministic in
 count**: a fast host produces fewer than a loaded one.  That is why
-``telemetry.*`` record names are excluded from the structural trace
-diff (:func:`repro.obs.analysis.diff_traces`) and why the run registry
-stores the sampled peaks in their own nullable columns instead of the
+``telemetry.sample`` is a host record in :mod:`repro.obs.schema`,
+skipped whole by ``repro trace-diff``, and why the run registry stores
+the sampled peaks in their own nullable columns instead of the
 deterministic ``metrics`` JSON.
 
 Lifecycle: ``start()`` begins sampling, ``close()`` stops the thread,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import gc
 import resource
 import threading
-import time
 
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
 

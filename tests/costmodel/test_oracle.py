@@ -17,6 +17,7 @@ from repro.costmodel import (
 )
 from repro.costmodel.ledger import ledger_from_records, render_ledger
 from repro.obs import TraceRecord, Tracer
+from tests.obs.test_schema import undeclared
 
 
 def ev(name, **attrs):
@@ -123,6 +124,7 @@ class TestMismatchPath:
         assert mismatch.attrs["counter"] == "total_messages"
         assert mismatch.attrs["drift"] == 1
         assert mismatch.attrs["model"] == "fullmem.colocated"
+        assert undeclared(tracer.records) == []
 
     def test_strict_mode_raises(self):
         with pytest.raises(CostMismatchError, match="total_messages"):

@@ -5,9 +5,9 @@ twice: as built (replay on) and with ``round_oblivious = False`` set on
 its machine instances (replay off).  Everything a caller can observe --
 outputs, round counts, per-round :class:`RoundStats` (including the
 communication edges), the oracle's query transcript, and the traced
-deterministic record stream -- must match exactly.  ``dur``/``ts``
-wall-clock attrs are the only permitted difference, and those are
-excluded from the determinism contract.
+deterministic record stream -- must match record by record.  Wall
+clock (``ts``, span ``dur``, the step's ``dur`` attr) is the only
+permitted difference, and :mod:`repro.obs.schema` never compares it.
 
 The negative control at the end shows that the on/off harness catches a
 machine that declares ``round_oblivious`` falsely.
@@ -30,7 +30,6 @@ from repro.functions import LineParams, sample_input
 from repro.functions.params import SimLineParams
 from repro.mpc import Machine, MPCParams, MPCResult, MPCSimulator, RoundOutput
 from repro.obs import Tracer, use_tracer
-from repro.obs.analysis import diff_traces
 from repro.obs.forensics import explain_divergence
 from repro.oracle import CountingOracle, LazyRandomOracle
 from repro.protocols import (
@@ -124,11 +123,7 @@ def replay_mismatches(on: Run, off: Run) -> list[str]:
         ),
     }
     if on.records is not None and off.records is not None:
-        checks["trace"] = not diff_traces(
-            off.records, on.records
-        ).has_differences and explain_divergence(
-            lambda: iter(off.records), lambda: iter(on.records)
-        ) is None
+        checks["trace"] = explain_divergence(off.records, on.records) is None
     return [name for name, same in checks.items() if not same]
 
 

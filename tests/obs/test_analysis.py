@@ -1,4 +1,5 @@
-"""Tests for trace analytics: comm matrix, critical path, locality, diff."""
+"""Tests for trace analytics (comm matrix, critical path, locality) and
+for the record-by-record trace comparison behind ``repro trace-diff``."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from repro.obs import (
     TraceRecord,
     Tracer,
     communication_matrix,
+    counter_drifts,
     critical_path,
-    diff_traces,
+    explain_divergence,
     query_locality,
+    render_divergence,
     use_tracer,
 )
 from repro.oracle import LazyRandomOracle
@@ -128,64 +131,59 @@ class TestQueryLocality:
 
 
 class TestDiffTraces:
+    """``repro trace-diff``'s one comparison: record by record, in order."""
+
     def test_same_seed_runs_are_structurally_identical(self):
-        diff = diff_traces(traced_line_run(seed=7), traced_line_run(seed=7))
-        assert not diff.has_differences
-        assert diff.counter_drifts == []
-        assert diff.added_kinds == [] and diff.removed_kinds == []
-        assert diff.rounds_compared > 0
+        base = traced_line_run(seed=7)
+        cur = traced_line_run(seed=7)
+        assert explain_divergence(base, cur) is None
+        assert counter_drifts(base, cur) == []
 
     def test_different_workloads_diff_nonempty(self):
         base = traced_line_run(seed=7, machines=4)
         other = traced_line_run(seed=7, machines=2)
-        diff = diff_traces(base, other)
+        d = explain_divergence(base, other)
         # Fewer machines change the deterministic routing counters.
-        assert diff.has_differences
-        assert diff.counter_drifts
-        assert "COUNTER" in diff.render()
-        assert diff.to_dict()["has_differences"] is True
+        assert d is not None
+        drifts = counter_drifts(base, other)
+        assert drifts
+        assert "COUNTER" in render_divergence(d, drifts=drifts)
 
     def test_kind_changes_reported(self):
         base = [sp("mpc.run", rounds=1), ev("old.kind")]
         cur = [sp("mpc.run", rounds=1), ev("new.kind")]
-        diff = diff_traces(base, cur)
-        assert diff.added_kinds == ["new.kind"]
-        assert diff.removed_kinds == ["old.kind"]
-        assert diff.has_differences
+        d = explain_divergence(base, cur)
+        assert d is not None and d.kind == "changed"
+        assert d.baseline.name == "old.kind"
+        assert d.current.name == "new.kind"
 
     def test_experiment_mismatch_noted(self):
         base = [sp("experiment", experiment_id="E-LINE")]
         cur = [sp("experiment", experiment_id="E-GUESS")]
-        diff = diff_traces(base, cur)
-        assert any("experiments differ" in n for n in diff.notes)
-        assert diff.has_differences
+        d = explain_divergence(base, cur)
+        assert d is not None
+        assert d.changed_attrs == {"experiment_id": ("E-LINE", "E-GUESS")}
 
     def test_latency_regressions_are_advisory(self):
-        base = [sp("mpc.round", dur=0.010, round=0, messages=1)]
-        cur = [sp("mpc.round", dur=0.050, round=0, messages=1)]
-        diff = diff_traces(base, cur, latency_tolerance=0.5)
-        assert diff.latency_regressions
-        assert not diff.has_differences  # wall-clock only: exit 0
-        assert "advisory" in diff.render()
+        """Timing is never compared: a 5x slower round is no divergence."""
+        base = [sp("mpc.round", dur=0.010, round=0, messages=1),
+                ev("mpc.machine_step", round=0, machine=0, dur=0.001)]
+        cur = [sp("mpc.round", dur=0.050, round=0, messages=1),
+               ev("mpc.machine_step", round=0, machine=0, dur=0.005)]
+        assert explain_divergence(base, cur) is None
 
-    def test_latency_noise_floor(self):
-        base = [sp("mpc.round", dur=0.0001, round=0, messages=1)]
-        cur = [sp("mpc.round", dur=0.0005, round=0, messages=1)]
-        diff = diff_traces(base, cur)  # 5x but under min_latency_s
-        assert diff.latency_regressions == []
+    def test_identical_render_says_so(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import write_jsonl
 
-    def test_identical_render_says_so(self):
-        base = [sp("mpc.round", dur=0.01, round=0, messages=1)]
-        diff = diff_traces(base, base)
-        assert "structurally identical" in diff.render()
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            diff_traces([], [], latency_tolerance=-0.1)
+        path = str(tmp_path / "t.jsonl")
+        write_jsonl([sp("mpc.round", dur=0.01, round=0, messages=1)], path)
+        assert main(["trace-diff", path, path]) == 0
+        assert "no diverging record" in capsys.readouterr().out
 
 
 class TestExclusionContract:
-    """telemetry.* records must be invisible to every determinism gate."""
+    """Host (telemetry.*) records are invisible to every determinism check."""
 
     def base_records(self):
         return [
@@ -204,19 +202,16 @@ class TestExclusionContract:
         head = [self.telemetry(1), *base, self.telemetry(2)]
         tail = [base[0], self.telemetry(3), base[1], base[2],
                 self.telemetry(4), self.telemetry(5), base[3]]
-        diff = diff_traces(head, tail)
-        assert not diff.has_differences
-        assert diff.added_kinds == [] and diff.removed_kinds == []
+        assert explain_divergence(head, tail) is None
+        assert explain_divergence(tail, head) is None
 
     def test_traces_differing_only_in_excluded_records_compare_clean(self):
         base = self.base_records()
         noisy = [self.telemetry(i) for i in range(3)] + base
-        assert not diff_traces(base, noisy).has_differences
-        assert not diff_traces(noisy, base).has_differences
+        assert explain_divergence(base, noisy) is None
+        assert explain_divergence(noisy, base) is None
 
     def test_explain_never_names_an_excluded_record(self):
-        from repro.obs import explain_divergence
-
         base = self.base_records()
         noisy = [base[0], self.telemetry(1), *base[1:], self.telemetry(2)]
         assert explain_divergence(base, noisy) is None
@@ -231,6 +226,5 @@ class TestExclusionContract:
 
     def test_streams_are_consumed_single_pass(self):
         base = self.base_records()
-        diff = diff_traces(iter(base), iter(list(base)))
-        assert not diff.has_differences
-        assert diff.rounds_compared == 1
+        assert explain_divergence(iter(base), iter(list(base))) is None
+        assert counter_drifts(iter(base), iter(list(base))) == []

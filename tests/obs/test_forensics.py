@@ -143,8 +143,8 @@ class TestExplainDivergence:
         assert d.machine == 2 and d.round == 3
 
     def test_canonical_identity_drops_volatile(self):
-        a = ev("mpc.machine_step", 0.1, machine=0, dur=0.001, rss_kb=5)
-        b = ev("mpc.machine_step", 9.9, machine=0, dur=0.9, rss_kb=7)
+        a = ev("mpc.machine_step", 0.1, machine=0, dur=0.001, worker=0)
+        b = ev("mpc.machine_step", 9.9, machine=0, dur=0.9, worker=1)
         assert canonical_identity(a) == canonical_identity(b)
 
 

@@ -21,6 +21,7 @@ from repro.obs import (
 )
 from repro.oracle import LazyRandomOracle
 from repro.protocols import build_chain_protocol, run_chain
+from tests.obs.test_schema import undeclared
 
 
 def ev(name, **attrs):
@@ -273,6 +274,9 @@ class TestEndToEnd:
         (v,) = monitor.violations
         assert v.check == "round_communication"
         assert (v.round, v.machine, v.observed, v.limit) == (0, 0, 64, 32)
+        names = {r.name for r in tracer.records}
+        assert "monitor.violation" in names
+        assert undeclared(tracer.records) == []
 
     def test_rogue_send_aborts_strict_run(self):
         params = MPCParams(m=2, s_bits=16)

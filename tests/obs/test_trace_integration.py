@@ -15,6 +15,7 @@ from repro.mpc import Machine, MPCParams, MPCSimulator, RoundOutput
 from repro.obs import NULL_TRACER, TraceMetrics, Tracer, get_tracer, use_tracer
 from repro.oracle import LazyRandomOracle, TableOracle
 from repro.protocols import build_chain_protocol, run_chain
+from tests.obs.test_schema import undeclared
 
 
 class Querier(Machine):
@@ -156,6 +157,7 @@ class TestRamTracing:
         assert len(batches) >= run.stats.instructions // 10 > 0
         counts = [b.attrs["instructions"] for b in batches]
         assert all(c % 10 == 0 for c in counts[: run.stats.instructions // 10])
+        assert undeclared(tracer.records) == []
 
 
 class TestExperimentTracing:

@@ -3,8 +3,16 @@ observability contract)."""
 
 import pytest
 
-from repro.obs import TraceMetrics, Tracer, counters_of, get_tracer, use_tracer
-from repro.parallel import map_trials
+from repro.experiments import run_experiment
+from repro.obs import (
+    TraceMetrics,
+    Tracer,
+    counters_of,
+    explain_divergence,
+    get_tracer,
+    use_tracer,
+)
+from repro.parallel import map_trials, use_jobs
 
 
 def _traced_trial(seed):
@@ -98,6 +106,22 @@ class TestCaptureAndReplay:
         # reached the parent.
         trials = {r.attrs["trial"] for r in tracer.records}
         assert trials == {0, 1}
+
+
+class TestExperimentTraces:
+    def test_serial_and_jobs_2_compare_clean_record_by_record(self):
+        """Only ``worker`` differs between the two streams, and the schema
+        declares it volatile: it changes with ``--jobs N`` by design."""
+        traces = []
+        for jobs in (1, 2):
+            tracer = Tracer()
+            with use_tracer(tracer), use_jobs(jobs):
+                run_experiment("E-ENC-A", scale="quick")
+            traces.append(tracer.records)
+        serial, parallel = traces
+        assert {r.attrs.get("worker") for r in parallel} >= {0, 1}
+        assert explain_divergence(serial, parallel) is None
+        assert explain_divergence(parallel, serial) is None
 
 
 def _trace_then_fail(seed):

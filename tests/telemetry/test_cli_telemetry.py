@@ -9,7 +9,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import RunRegistry
+from repro.obs import RunRegistry, read_jsonl
+from tests.obs.test_schema import undeclared
 
 CHEAP_PAR = "E-ENC-A"
 
@@ -86,6 +87,7 @@ class TestTraceTelemetry:
         assert "telemetry.heartbeat" in names
         assert "telemetry.sample" in names
         assert "telemetry.overhead" in names
+        assert undeclared(read_jsonl(str(trace))) == []
 
 
 class TestRunsListColumns:

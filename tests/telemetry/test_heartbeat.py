@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.obs import InvariantViolation, Tracer, use_tracer
-from repro.obs.analysis import diff_traces
+from repro.obs.forensics import explain_divergence, render_divergence
 from repro.parallel import map_trials
 from repro.telemetry import (
     StallDetector,
@@ -14,6 +14,7 @@ from repro.telemetry import (
     telemetry_enabled,
     use_telemetry,
 )
+from tests.obs.test_schema import undeclared
 
 TRIALS = 12
 SLOW_TRIAL = 7
@@ -111,6 +112,7 @@ class TestStallDetector:
         ]
         assert len(stall_events) == 1
         assert stall_events[0].attrs["trial"] == SLOW_TRIAL
+        assert undeclared(tracer.records) == []
 
     def test_straggler_ranking_flags_the_slow_worker(self):
         detector = StallDetector(deadline_s=30.0)
@@ -152,14 +154,16 @@ class TestDeterminismContract:
     def test_trace_diff_clean_telemetry_on_vs_off(self):
         off, _ = _run(_trial, jobs=1, telemetry=False)
         on, _ = _run(_trial, jobs=1, telemetry=True)
-        diff = diff_traces(off, on)
-        assert not diff.has_differences, diff.render()
+        for a, b in ((off, on), (on, off)):
+            d = explain_divergence(a, b)
+            assert d is None, render_divergence(d)
 
     def test_trace_diff_clean_across_jobs_with_telemetry(self):
         serial, _ = _run(_trial, jobs=1)
         parallel, _ = _run(_trial, jobs=3)
-        diff = diff_traces(serial, parallel)
-        assert not diff.has_differences, diff.render()
+        for a, b in ((serial, parallel), (parallel, serial)):
+            d = explain_divergence(a, b)
+            assert d is None, render_divergence(d)
 
     def test_results_identical_with_telemetry_and_jobs(self):
         _, base = _run(_trial, jobs=1, telemetry=False)

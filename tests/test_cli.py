@@ -143,12 +143,22 @@ class TestTraceDiffCli:
         assert main(["trace", experiment, "--trace-out", path]) == 0
         return path
 
+    def _mutated(self, tmp_path, source, mutate):
+        import json
+
+        rows = [json.loads(line) for line in open(source)]
+        mutate(rows)
+        path = str(tmp_path / "mutated.jsonl")
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        return path
+
     def test_same_experiment_zero_diff(self, tmp_path, capsys):
         a = self._trace(tmp_path, "E-BOUND", "a.jsonl")
         b = self._trace(tmp_path, "E-BOUND", "b.jsonl")
         capsys.readouterr()
         assert main(["trace-diff", a, b]) == 0
-        assert "structurally identical" in capsys.readouterr().out
+        assert "no diverging record" in capsys.readouterr().out
 
     def test_different_experiments_exit_1(self, tmp_path, capsys):
         a = self._trace(tmp_path, "E-BOUND", "a.jsonl")
@@ -156,7 +166,7 @@ class TestTraceDiffCli:
         capsys.readouterr()
         assert main(["trace-diff", a, b]) == 1
         out = capsys.readouterr().out
-        assert "experiments differ" in out
+        assert "attr experiment_id: 'E-BOUND' -> 'E-LIMIT'" in out
 
     def test_json_output(self, tmp_path, capsys):
         import json
@@ -165,8 +175,60 @@ class TestTraceDiffCli:
         capsys.readouterr()
         assert main(["trace-diff", a, a, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["has_differences"] is False
-        assert payload["counter_drifts"] == []
+        assert payload == {
+            "has_differences": False,
+            "first_divergence": None,
+            "counter_drifts": [],
+        }
+
+    def test_changed_query_key_exits_1(self, tmp_path, capsys):
+        """Same counters, one oracle input changed: a different transcript."""
+        def change_key(rows):
+            row = next(r for r in rows if r["name"] == "oracle.query")
+            row["attrs"]["key"] = "0" * len(row["attrs"]["key"])
+
+        base = self._trace(tmp_path, "E-ENC-A", "base.jsonl")
+        cur = self._mutated(tmp_path, base, change_key)
+        capsys.readouterr()
+        assert main(["trace-diff", base, cur]) == 1
+        out = capsys.readouterr().out
+        assert "first divergence" in out and "oracle.query" in out
+
+    def test_swapped_machine_steps_exit_1(self, tmp_path, capsys):
+        """Same counters, two adjacent machine steps in the other order."""
+        def swap_steps(rows):
+            i = next(
+                i for i in range(len(rows) - 1)
+                if rows[i]["name"] == rows[i + 1]["name"] == "mpc.machine_step"
+            )
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+
+        base = self._trace(tmp_path, "E-ENC-A", "base.jsonl")
+        cur = self._mutated(tmp_path, base, swap_steps)
+        capsys.readouterr()
+        assert main(["trace-diff", base, cur]) == 1
+        assert "mpc.machine_step" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("context", ["-1", "many"])
+    def test_bad_context_exits_2(self, tmp_path, context):
+        from repro.obs import TraceRecord, write_jsonl
+
+        path = str(tmp_path / "t.jsonl")
+        write_jsonl([TraceRecord("event", "oracle.query", 0.0, None,
+                                 {"key": "a"})], path)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace-diff", path, path, "--context", context])
+        assert exc.value.code == 2
+
+    def test_help_lists_only_context_and_json(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace-diff", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+        assert options == {"-h", "--help", "--context", "--json"}
 
 
 class TestFlatMetrics:
@@ -495,7 +557,9 @@ class TestRunAllRecording:
             assert row["run_id"] in (1, 2)
             assert "record" not in row  # internal payload never leaks
         with RunRegistry(db) as reg:
-            assert reg.experiment_ids() == ["E-BOUND", "T1"]
+            assert sorted({r.experiment_id for r in reg.runs()}) == [
+                "E-BOUND", "T1",
+            ]
 
     def test_no_record_omits_registry_key(self, tmp_path, capsys,
                                           monkeypatch):
@@ -603,7 +667,7 @@ class TestConvergenceInTrace:
 
 
 class TestForensicsCli:
-    """repro index / query / why / trace-diff --explain."""
+    """repro index / query / why / trace-diff."""
 
     def _write(self, tmp_path, name, records):
         from repro.obs import write_jsonl
@@ -715,7 +779,7 @@ class TestForensicsCli:
         with open(cur, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["trace-diff", base, cur, "--explain"]) == 1
+        assert main(["trace-diff", base, cur]) == 1
         out = capsys.readouterr().out
         assert "first divergence" in out
         assert "mpc.machine_step" in out
@@ -725,7 +789,7 @@ class TestForensicsCli:
     def test_explain_clean_pair_exits_0(self, tmp_path, capsys):
         base = self._eline_trace(tmp_path)
         capsys.readouterr()
-        assert main(["trace-diff", base, base, "--explain"]) == 0
+        assert main(["trace-diff", base, base]) == 0
         assert "no diverging record" in capsys.readouterr().out
 
     def test_explain_json_payload(self, tmp_path, capsys):
@@ -741,7 +805,7 @@ class TestForensicsCli:
             TraceRecord("event", "oracle.query", 0.1, None,
                         {"round": 0, "machine": 0, "key": "y"}),
         ])
-        assert main(["trace-diff", a, b, "--explain", "--json"]) == 1
+        assert main(["trace-diff", a, b, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         d = payload["first_divergence"]
         assert d["kind"] == "changed" and d["name"] == "oracle.query"
