@@ -100,62 +100,14 @@ import time
 from functools import partial
 from typing import Sequence
 
-from repro.costmodel import (
-    CostEvalError,
-    CostModelUnavailable,
-    CostOracle,
-    all_models,
-    available as cost_available,
-    check_trace_records,
-    cost_model_for,
-    eval_table,
-    render_formulas,
-    render_ledger,
-)
 from repro.experiments import experiment_ids, experiment_info, run_experiment
+from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel import TrialPool, resolve_jobs, use_jobs
-from repro.obs import (
-    ConvergenceMonitor,
-    InvariantMonitor,
-    InvariantViolation,
-    JsonlExporter,
-    LiveProgress,
-    QueryError,
-    RunRecord,
-    RunRegistry,
-    TraceFormatError,
-    TraceMetrics,
-    Tracer,
-    build_index,
-    compare_runs,
-    counter_drifts,
-    counters_of,
-    ensure_index,
-    explain_trace_files,
-    get_tracer,
-    git_sha,
-    iter_trace_records,
-    parse_query,
-    profile_experiment,
-    read_jsonl,
-    render_divergence,
-    render_result,
-    render_runs_table,
-    render_triage,
-    run_query,
-    summarize,
-    triage_file,
-    use_tracer,
-    write_chrome_trace,
-    write_html_report,
-)
-from repro.telemetry import (
-    OverheadMeter,
-    ResourceSampler,
-    StallDetector,
-    resolve_telemetry,
-    use_telemetry,
-)
+from repro.telemetry.config import resolve_telemetry, use_telemetry
+
+# The rest of the observability stack (the SQLite registry and index,
+# the monitors, the sympy cost models) is imported inside the commands
+# that use it, so `repro list` and an untraced `repro run` skip it.
 
 __all__ = ["main", "build_report"]
 
@@ -255,12 +207,16 @@ def _run_observed(
     """
     ambient = get_tracer()
     observed = strict or capture or progress or telemetry
+    if not (ambient.enabled or observed):
+        return run_experiment(experiment_id, scale=scale), None, None
+    from repro.costmodel import CostOracle, available as cost_available
+    from repro.obs import InvariantMonitor, LiveProgress
+    from repro.telemetry import OverheadMeter, ResourceSampler, StallDetector
+
     if ambient.enabled:
         tracer, own = ambient, False
-    elif observed:
-        tracer, own = Tracer(keep_records=False), True
     else:
-        return run_experiment(experiment_id, scale=scale), None, None
+        tracer, own = Tracer(keep_records=False), True
     records: list | None = [] if capture else None
     monitor = InvariantMonitor(strict=strict, tracer=tracer) if strict else None
     cost = CostOracle(tracer=tracer) if cost_available() else None
@@ -322,6 +278,8 @@ def _record_run(
     violations: int = 0,
 ) -> tuple[int, str]:
     """Append one run to the registry; returns ``(run_id, db_path)``."""
+    from repro.obs import RunRecord, RunRegistry, TraceMetrics, counters_of
+
     counters: dict = {}
     trace_metrics = None
     if records:
@@ -366,6 +324,8 @@ def _print_telemetry_summary(result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.obs import InvariantViolation
+
     record = not args.no_record
     telemetry = resolve_telemetry(args.telemetry)
     try:
@@ -416,6 +376,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.costmodel import (
+        CostOracle,
+        available as cost_available,
+        render_ledger,
+    )
+    from repro.obs import (
+        ConvergenceMonitor,
+        InvariantMonitor,
+        InvariantViolation,
+        JsonlExporter,
+        LiveProgress,
+        TraceMetrics,
+        summarize,
+    )
+    from repro.telemetry import OverheadMeter, ResourceSampler, StallDetector
+
     trace_out = getattr(args, "trace_out", None)
     telemetry = resolve_telemetry(args.telemetry)
     sink = JsonlExporter(trace_out) if trace_out else None
@@ -534,6 +510,16 @@ def _run_all_task(
     stays off here -- one background thread per run-all worker would
     measure the pool, not the experiment.
     """
+    from repro.costmodel import CostOracle, available as cost_available
+    from repro.obs import (
+        InvariantMonitor,
+        InvariantViolation,
+        RunRecord,
+        TraceMetrics,
+        counters_of,
+    )
+    from repro.telemetry import OverheadMeter, StallDetector
+
     ambient = get_tracer()
     capture = want_counters or record
     own = not ambient.enabled and (strict or capture)
@@ -629,6 +615,8 @@ def _run_all_line(row: dict) -> str:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
+    from repro.obs import RunRecord, RunRegistry, git_sha
+
     jobs = resolve_jobs(args.jobs)
     record = not args.no_record
     telemetry = resolve_telemetry(args.telemetry)
@@ -699,6 +687,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
+    from repro.obs import RunRegistry, render_runs_table
+
     with RunRegistry.open(args.registry) as registry:
         records = registry.runs(args.experiment, limit=args.limit)
     if args.json:
@@ -709,6 +699,8 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
+    from repro.obs import RunRegistry
+
     with RunRegistry.open(args.registry) as registry:
         try:
             record = registry.get(args.run_id)
@@ -720,6 +712,8 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_compare(args: argparse.Namespace) -> int:
+    from repro.obs import RunRegistry, compare_runs
+
     with RunRegistry.open(args.registry) as registry:
         try:
             comparison = compare_runs(registry, args.a, args.b)
@@ -738,6 +732,8 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
         print("runs gc: nothing to do (give --keep-last N and/or "
               "--before TS)", file=sys.stderr)
         return 2
+    from repro.obs import RunRegistry
+
     with RunRegistry.open(args.registry) as registry:
         removed = registry.gc(keep_last=args.keep_last, before=args.before)
         remaining = registry.count()
@@ -801,6 +797,8 @@ def _stream_trace_or_exit(path: str):
     :class:`TraceFormatError` from the consumer (callers wrap their
     consumption in :func:`_trace_error`).
     """
+    from repro.obs import TraceFormatError, iter_trace_records
+
     try:
         first = next(iter_trace_records(path), None)
     except OSError as exc:
@@ -830,6 +828,8 @@ def _auto_index(trace_path: str) -> None:
         "0", "false", "off", "no"
     ):
         return
+    from repro.obs import build_index
+
     try:
         index = build_index(trace_path)
     except Exception as exc:  # noqa: BLE001 - advisory by design
@@ -842,6 +842,8 @@ def _auto_index(trace_path: str) -> None:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    from repro.obs import TraceFormatError, build_index
+
     if _stream_trace_or_exit(args.trace) is None:
         return 2
     try:
@@ -854,6 +856,15 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.obs import (
+        QueryError,
+        TraceFormatError,
+        ensure_index,
+        parse_query,
+        render_result,
+        run_query,
+    )
+
     if _stream_trace_or_exit(args.trace) is None:
         return 2
     try:
@@ -881,6 +892,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_why(args: argparse.Namespace) -> int:
+    from repro.obs import TraceFormatError, render_triage, triage_file
+
     if _stream_trace_or_exit(args.trace) is None:
         return 2
     try:
@@ -896,6 +909,13 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.trace is not None:
+        from repro.obs import (
+            TraceFormatError,
+            read_jsonl,
+            write_chrome_trace,
+            write_html_report,
+        )
+
         try:
             records = read_jsonl(args.trace)
         except OSError as exc:
@@ -930,6 +950,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.obs import profile_experiment
+
     session = profile_experiment(
         args.experiment,
         scale=args.scale,
@@ -962,6 +984,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
+    from repro.obs import (
+        TraceFormatError,
+        counter_drifts,
+        explain_trace_files,
+        render_divergence,
+    )
+
     baseline = _stream_trace_or_exit(args.baseline)
     if baseline is None:
         return 2
@@ -998,6 +1027,13 @@ def _cost_unavailable(exc: CostModelUnavailable) -> int:
 
 
 def _cmd_cost_show(args: argparse.Namespace) -> int:
+    from repro.costmodel import (
+        CostModelUnavailable,
+        all_models,
+        cost_model_for,
+        render_formulas,
+    )
+
     try:
         if args.models:
             models = [cost_model_for(model_id) for model_id in args.models]
@@ -1033,6 +1069,13 @@ def _parse_cost_bindings(pairs: Sequence[str]) -> dict:
 
 
 def _cmd_cost_eval(args: argparse.Namespace) -> int:
+    from repro.costmodel import (
+        CostEvalError,
+        CostModelUnavailable,
+        cost_model_for,
+        eval_table,
+    )
+
     try:
         model = cost_model_for(args.model)
         bindings = _parse_cost_bindings(args.bindings)
@@ -1049,6 +1092,14 @@ def _cmd_cost_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost_check(args: argparse.Namespace) -> int:
+    from repro.costmodel import (
+        CostModelUnavailable,
+        CostOracle,
+        check_trace_records,
+        render_ledger,
+    )
+    from repro.obs import TraceFormatError
+
     try:
         oracles: dict[str, CostOracle] = {}
         if args.trace is not None:
@@ -1498,6 +1549,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if trace_out and args.command != "trace":
             # Global --trace-out: run the whole command under a streaming
             # tracer (the trace subcommand manages its own).
+            from repro.obs import JsonlExporter
+
             with JsonlExporter(trace_out) as sink:
                 with use_tracer(Tracer(sink=sink)):
                     code = args.fn(args)

@@ -31,72 +31,43 @@ Layers:
 
 See docs/OBSERVABILITY.md ("Cost-model oracle") and docs/PAPER_MAP.md
 (formula cross-reference).
+
+Each name below is importable from this package; the submodule that
+defines it is imported when the name is first used
+(:func:`repro._lazy.lazy_exports`).  The protocols import
+:mod:`repro.costmodel.announce` directly, so an untraced run loads no
+other part of the package.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.costmodel.announce import (
-    chain_cost_bindings,
-    fullmem_cost_bindings,
-    pipeline_cost_bindings,
-    pointer_jump_cost_bindings,
-)
-from repro.costmodel.backend import (
-    CostModelUnavailable,
-    available,
-    require_sympy,
-)
-from repro.costmodel.formulas import (
-    CostEntry,
-    CostEvalError,
-    CostModel,
-    CounterFormula,
-)
-from repro.costmodel.ledger import (
-    eval_table,
-    ledger_from_records,
-    render_formulas,
-    render_ledger,
-)
-from repro.costmodel.models import (
-    all_models,
-    cost_model_for,
-    model_ids,
-    paper_table2_constraints,
-    paper_table3_constraints,
-    runner_model_map,
-)
-from repro.costmodel.oracle import (
-    CostCheck,
-    CostMismatchError,
-    CostOracle,
-    check_trace_records,
-)
-
-__all__ = [
-    "CostModelUnavailable",
-    "available",
-    "require_sympy",
-    "CostEntry",
-    "CostEvalError",
-    "CostModel",
-    "CounterFormula",
-    "all_models",
-    "cost_model_for",
-    "model_ids",
-    "runner_model_map",
-    "paper_table2_constraints",
-    "paper_table3_constraints",
-    "CostCheck",
-    "CostMismatchError",
-    "CostOracle",
-    "check_trace_records",
-    "chain_cost_bindings",
-    "pipeline_cost_bindings",
-    "fullmem_cost_bindings",
-    "pointer_jump_cost_bindings",
-    "eval_table",
-    "ledger_from_records",
-    "render_formulas",
-    "render_ledger",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "announce": (
+        "chain_cost_bindings",
+        "fullmem_cost_bindings",
+        "pipeline_cost_bindings",
+        "pointer_jump_cost_bindings",
+    ),
+    "backend": ("CostModelUnavailable", "available", "require_sympy"),
+    "formulas": ("CostEntry", "CostEvalError", "CostModel", "CounterFormula"),
+    "ledger": (
+        "eval_table",
+        "ledger_from_records",
+        "render_formulas",
+        "render_ledger",
+    ),
+    "models": (
+        "all_models",
+        "cost_model_for",
+        "model_ids",
+        "paper_table2_constraints",
+        "paper_table3_constraints",
+        "runner_model_map",
+    ),
+    "oracle": (
+        "CostCheck",
+        "CostMismatchError",
+        "CostOracle",
+        "check_trace_records",
+    ),
+})

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.analysis.tables import format_table
-from repro.costmodel.models import runner_model_map
-from repro.obs import flatten_dotted, get_tracer
+from repro.obs.tracer import get_tracer
 
 __all__ = [
     "TableData",
@@ -76,6 +75,8 @@ class ExperimentResult:
         ``trace.mpc.round_latency_s.mean`` -- so downstream tooling can
         index one flat mapping instead of walking the nested tree.
         """
+        from repro.obs.metrics import flatten_dotted
+
         return flatten_dotted(self.metrics)
 
     def to_dict(self) -> dict:
@@ -173,6 +174,8 @@ def _module_cost_models(module) -> list[str]:
     would flag protocol modules an experiment merely shares a helper
     with.
     """
+    from repro.costmodel.models import runner_model_map
+
     if module is None:
         return []
     try:

@@ -19,7 +19,11 @@ import numpy as np
 from repro.analysis import fit_exponential_decay
 from repro.experiments.base import ExperimentResult, TableData, register
 from repro.functions import LineParams, sample_input, trace_line
-from repro.obs import WelfordAccumulator, WilsonAccumulator, attach_estimates
+from repro.obs.convergence import (
+    WelfordAccumulator,
+    WilsonAccumulator,
+    attach_estimates,
+)
 from repro.oracle import LazyRandomOracle
 from repro.parallel import map_trials, seed_sequence
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis import binomial_ci, fit_exponential_decay
 from repro.experiments.base import ExperimentResult, TableData, register
 from repro.functions import LineParams, SimLineParams
-from repro.obs import EstimateStats, attach_estimates
+from repro.obs.convergence import EstimateStats, attach_estimates
 from repro.protocols import (
     estimate_line_skip_probability,
     estimate_simline_skip_probability,

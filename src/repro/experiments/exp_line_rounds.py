@@ -17,7 +17,7 @@ import numpy as np
 from repro.analysis import fit_power_law, mean_ci
 from repro.experiments.base import ExperimentResult, TableData, register
 from repro.functions import LineParams, evaluate_line, sample_input
-from repro.obs import phase
+from repro.obs.tracer import phase
 from repro.oracle import LazyRandomOracle
 from repro.parallel import map_trials, seed_sequence
 from repro.protocols import build_chain_protocol, run_chain

@@ -9,9 +9,13 @@ round as outgoing messages.
 
 Protocol *code* (the per-round algorithms ``A_i^k``) may of course carry
 static configuration -- the paper's algorithms are non-uniform in the
-round index -- but the simulator never lets instance attributes smuggle
-dynamic state between rounds: only message bits survive, and they are
-counted against ``s``.
+round index.  Keeping *dynamic* state out of instance attributes, so
+that only message bits survive a round and are counted against ``s``,
+is an obligation of each protocol.  The simulator does not check it: a
+machine that stores its inbox in ``self`` runs to completion.
+Steady-state replay (:meth:`repro.mpc.MPCSimulator.run`) assumes it
+holds for every machine that declares
+:attr:`Machine.round_oblivious`.
 """
 
 from __future__ import annotations

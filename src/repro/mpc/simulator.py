@@ -27,7 +27,7 @@ from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
 from repro.mpc.stats import MPCStats, RoundStats
 from repro.mpc.tape import SharedTape
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.oracle.base import Oracle
 from repro.oracle.counting import CountingOracle
 

@@ -47,172 +47,105 @@ Instrumentation lives in :mod:`repro.mpc.simulator`,
 :mod:`repro.oracle.counting`, :mod:`repro.ram.machine`, and
 :mod:`repro.experiments.base`; with the default :data:`NULL_TRACER` it
 all reduces to one boolean check per site.
+
+Every name below is importable from this package, but the package
+imports the submodule that defines a name only when the name is first
+used (:func:`repro._lazy.lazy_exports`).  The paper core imports
+:mod:`repro.obs.tracer` and :mod:`repro.obs.convergence` directly, so
+an untraced run loads no other part of the package.
 """
 
-from repro.obs.analysis import (
-    CommMatrix,
-    CriticalStep,
-    LocalityReport,
-    communication_matrix,
-    critical_path,
-    query_locality,
-)
-from repro.obs.convergence import (
-    ConvergenceMonitor,
-    EstimateStats,
-    WelfordAccumulator,
-    WilsonAccumulator,
-    attach_estimates,
-    estimates_from_records,
-)
-from repro.obs.exporters import (
-    JsonlExporter,
-    TraceFormatError,
-    coerce_jsonable,
-    iter_trace_records,
-    read_jsonl,
-    summarize,
-    write_jsonl,
-)
-from repro.obs.forensics import (
-    Anomaly,
-    CausalContext,
-    Divergence,
-    TraceIndex,
-    build_index,
-    causal_context,
-    counter_drifts,
-    ensure_index,
-    explain_divergence,
-    explain_trace_files,
-    render_divergence,
-    render_triage,
-    triage,
-    triage_file,
-)
-from repro.obs.query import (
-    Query,
-    QueryError,
-    QueryResult,
-    parse_query,
-    render_result,
-    run_query,
-)
-from repro.obs.history import RunComparison, compare_runs, render_runs_table
-from repro.obs.metrics import (
-    COUNTER_PATHS,
-    Distribution,
-    TraceMetrics,
-    counters_of,
-    flatten_dotted,
-)
-from repro.obs.monitor import InvariantMonitor, InvariantViolation, Violation
-from repro.obs.profile import (
-    ProfileSession,
-    RoundMemorySampler,
-    ScopedCProfile,
-    SpanProfiler,
-    profile_experiment,
-)
-from repro.obs.progress import LiveProgress
-from repro.obs.registry import (
-    RunRecord,
-    RunRegistry,
-    default_registry_path,
-    deterministic_metrics,
-    git_sha,
-)
-from repro.obs.report import (
-    chrome_trace_events,
-    render_html,
-    write_chrome_trace,
-    write_html_report,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    SpanHook,
-    TraceRecord,
-    Tracer,
-    get_tracer,
-    phase,
-    set_tracer,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Anomaly",
-    "COUNTER_PATHS",
-    "CausalContext",
-    "CommMatrix",
-    "ConvergenceMonitor",
-    "CriticalStep",
-    "Distribution",
-    "Divergence",
-    "EstimateStats",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "JsonlExporter",
-    "LiveProgress",
-    "LocalityReport",
-    "NULL_TRACER",
-    "NullTracer",
-    "ProfileSession",
-    "Query",
-    "QueryError",
-    "QueryResult",
-    "RoundMemorySampler",
-    "RunComparison",
-    "RunRecord",
-    "RunRegistry",
-    "ScopedCProfile",
-    "SpanHook",
-    "SpanProfiler",
-    "TraceFormatError",
-    "TraceIndex",
-    "TraceMetrics",
-    "TraceRecord",
-    "Tracer",
-    "Violation",
-    "WelfordAccumulator",
-    "WilsonAccumulator",
-    "attach_estimates",
-    "build_index",
-    "causal_context",
-    "chrome_trace_events",
-    "coerce_jsonable",
-    "communication_matrix",
-    "compare_runs",
-    "counter_drifts",
-    "counters_of",
-    "critical_path",
-    "default_registry_path",
-    "deterministic_metrics",
-    "ensure_index",
-    "estimates_from_records",
-    "explain_divergence",
-    "explain_trace_files",
-    "flatten_dotted",
-    "get_tracer",
-    "git_sha",
-    "iter_trace_records",
-    "parse_query",
-    "phase",
-    "profile_experiment",
-    "query_locality",
-    "read_jsonl",
-    "render_divergence",
-    "render_html",
-    "render_result",
-    "render_runs_table",
-    "render_triage",
-    "run_query",
-    "set_tracer",
-    "summarize",
-    "triage",
-    "triage_file",
-    "use_tracer",
-    "write_chrome_trace",
-    "write_html_report",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis": (
+        "CommMatrix",
+        "CriticalStep",
+        "LocalityReport",
+        "communication_matrix",
+        "critical_path",
+        "query_locality",
+    ),
+    "convergence": (
+        "ConvergenceMonitor",
+        "EstimateStats",
+        "WelfordAccumulator",
+        "WilsonAccumulator",
+        "attach_estimates",
+        "estimates_from_records",
+    ),
+    "exporters": (
+        "JsonlExporter",
+        "TraceFormatError",
+        "coerce_jsonable",
+        "iter_trace_records",
+        "read_jsonl",
+        "summarize",
+        "write_jsonl",
+    ),
+    "forensics": (
+        "Anomaly",
+        "CausalContext",
+        "Divergence",
+        "TraceIndex",
+        "build_index",
+        "causal_context",
+        "counter_drifts",
+        "ensure_index",
+        "explain_divergence",
+        "explain_trace_files",
+        "render_divergence",
+        "render_triage",
+        "triage",
+        "triage_file",
+    ),
+    "query": (
+        "Query",
+        "QueryError",
+        "QueryResult",
+        "parse_query",
+        "render_result",
+        "run_query",
+    ),
+    "history": ("RunComparison", "compare_runs", "render_runs_table"),
+    "metrics": (
+        "COUNTER_PATHS",
+        "Distribution",
+        "TraceMetrics",
+        "counters_of",
+        "flatten_dotted",
+    ),
+    "monitor": ("InvariantMonitor", "InvariantViolation", "Violation"),
+    "profile": (
+        "ProfileSession",
+        "RoundMemorySampler",
+        "ScopedCProfile",
+        "SpanProfiler",
+        "profile_experiment",
+    ),
+    "progress": ("LiveProgress",),
+    "registry": (
+        "RunRecord",
+        "RunRegistry",
+        "default_registry_path",
+        "deterministic_metrics",
+        "git_sha",
+    ),
+    "report": (
+        "chrome_trace_events",
+        "render_html",
+        "write_chrome_trace",
+        "write_html_report",
+    ),
+    "tracer": (
+        "NULL_TRACER",
+        "NullTracer",
+        "SpanHook",
+        "TraceRecord",
+        "Tracer",
+        "get_tracer",
+        "phase",
+        "set_tracer",
+        "use_tracer",
+    ),
+})

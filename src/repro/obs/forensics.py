@@ -253,7 +253,7 @@ class TraceIndex:
 # --------------------------------------------------------------------------
 
 #: How far past a mismatch the bisector looks to classify it as an
-#: insertion or deletion rather than an in-place change.
+#: in-place change, an insertion or a deletion.
 _LOOKAHEAD = 64
 
 RecordSource = Iterable[TraceRecord] | Callable[[], Iterable[TraceRecord]]
@@ -376,6 +376,39 @@ def _attr_diff(base: TraceRecord, cur: TraceRecord) -> dict[str, tuple]:
     return out
 
 
+def _agreement(base: Sequence[_Slot], cur: Sequence[_Slot]) -> int:
+    """How many records the two windows share in lockstep from the start."""
+    count = 0
+    for b, c in zip(base, cur):
+        if b.canon != c.canon:
+            break
+        count += 1
+    return count
+
+
+def _alignment(base: list[_Slot], cur: list[_Slot]) -> str:
+    """Classify the mismatch at ``base[0]`` / ``cur[0]``.
+
+    Each reading of the mismatch predicts which records line up after
+    it: an in-place change lines up ``base[1:]`` with ``cur[1:]``, ``k``
+    inserted records line up ``base`` with ``cur[k:]``, and ``k``
+    dropped records line up ``base[k:]`` with ``cur``.  The reading
+    under which the most records then agree wins; a tie goes to the
+    change, then to the smallest ``k``.  So a record that changed in
+    place stays ``"changed"`` even when an identical record recurs a
+    few records later.
+    """
+    best, best_kind = _agreement(base[1:], cur[1:]), "changed"
+    for k in range(1, max(len(base), len(cur))):
+        for kind, score in (
+            ("extra", _agreement(base, cur[k:])),
+            ("missing", _agreement(base[k:], cur)),
+        ):
+            if score > best:
+                best, best_kind = score, kind
+    return best_kind
+
+
 def explain_divergence(
     baseline: RecordSource, current: RecordSource
 ) -> Divergence | None:
@@ -383,13 +416,13 @@ def explain_divergence(
 
     Lockstep comparison on :func:`canonical_identity`, so order matters
     (a trace is a transcript; reordering *is* divergence).  At the first
-    mismatch a bounded lookahead classifies it: if the baseline record
-    reappears shortly in the current stream the current side inserted
-    records (``"extra"``); if the current record reappears in the
-    baseline the current side dropped records (``"missing"``); else the
-    record changed in place (``"changed"``, with a per-attr diff).
-    Host records (:data:`repro.obs.schema.HOST_NAMES`) are invisible
-    here -- they can never be named as the divergence.
+    mismatch a bounded lookahead classifies it by the alignment under
+    which the records after it agree (:func:`_alignment`): the current
+    side inserted records (``"extra"``), dropped records
+    (``"missing"``), or the record changed in place (``"changed"``,
+    with a per-attr diff).  Host records
+    (:data:`repro.obs.schema.HOST_NAMES`) are invisible here -- they
+    can never be named as the divergence.
     """
     base_it = _comparable(baseline)
     cur_it = _comparable(current)
@@ -417,14 +450,15 @@ def explain_divergence(
         )
     base_ahead = [b] + [s for s, _ in zip(base_it, range(_LOOKAHEAD))]
     cur_ahead = [c] + [s for s, _ in zip(cur_it, range(_LOOKAHEAD))]
-    if b.canon in {s.canon for s in cur_ahead[1:]}:
+    kind = _alignment(base_ahead, cur_ahead)
+    if kind == "extra":
         return Divergence(
             kind="extra", position=c.pos,
             baseline=None, current=c.record,
             baseline_seq=None, current_seq=c.seq,
             machine=c.machine, round=c.round,
         )
-    if c.canon in {s.canon for s in base_ahead[1:]}:
+    if kind == "missing":
         return Divergence(
             kind="missing", position=b.pos,
             baseline=b.record, current=None,

@@ -15,7 +15,7 @@ import hashlib
 from typing import NamedTuple, Sequence
 
 from repro.bits import Bits
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.oracle.base import Oracle, QueryBudgetExceeded
 
 __all__ = ["CountingOracle", "QueryRecord", "query_key"]

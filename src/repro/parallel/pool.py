@@ -66,16 +66,20 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Iterator, Sequence
 
-from repro.obs import NULL_TRACER, Tracer, get_tracer, set_tracer, use_tracer
-from repro.obs.tracer import TraceRecord
+from repro.obs.tracer import (
+    NULL_TRACER,
+    TraceRecord,
+    Tracer,
+    get_tracer,
+    set_tracer,
+    use_tracer,
+)
 from repro.telemetry.config import telemetry_enabled
-from repro.telemetry.heartbeat import emit_heartbeat
 
 __all__ = [
     "TrialPool",
@@ -192,6 +196,8 @@ def _run_chunk(
                     with use_tracer(tracer):
                         value = fn(item)
                     if heartbeat:
+                        from repro.telemetry.heartbeat import emit_heartbeat
+
                         emit_heartbeat(
                             tracer,
                             trial=t,
@@ -284,6 +290,10 @@ class TrialPool:
             _MAX_CHUNK, max(1, ceil(len(items) / (jobs * _CHUNKS_PER_WORKER)))
         )
         chunks = [indexed[i:i + size] for i in range(0, len(indexed), size)]
+        # Imported here: it loads multiprocessing, which serial runs,
+        # the common case, never touch.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)), initializer=_worker_init
         ) as pool:

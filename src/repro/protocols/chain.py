@@ -24,7 +24,7 @@ from repro.bounds.regimes import hardness_threshold
 from repro.bounds.theorem31 import default_lookahead, lemma32_round_bound
 from repro.costmodel.announce import chain_cost_bindings
 from repro.functions.line import line_query
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.functions.params import LineParams
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams

@@ -23,7 +23,7 @@ from repro.bits import Bits
 from repro.costmodel.announce import fullmem_cost_bindings
 from repro.functions.line import line_query
 from repro.functions.params import LineParams
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
 from repro.mpc.simulator import MPCResult, MPCSimulator

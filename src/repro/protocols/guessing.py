@@ -51,7 +51,7 @@ from repro.functions.params import LineParams
 from repro.functions.simline import simline_query, trace_simline
 from repro.functions.params import SimLineParams
 from repro.functions.inputs import sample_input
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.oracle.patched import PatchedOracle
 from repro.oracle.table import LazyTableOracle
 from repro.parallel import map_trials, seed_sequence

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.bits import BitReader, BitWriter, Bits, bits_needed
 from repro.costmodel.announce import pointer_jump_cost_bindings
 from repro.functions.pointer_jump import PointerJumpInstance
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
 from repro.mpc.simulator import MPCResult, MPCSimulator

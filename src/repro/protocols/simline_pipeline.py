@@ -18,7 +18,7 @@ from repro.bits import Bits
 from repro.costmodel.announce import pipeline_cost_bindings
 from repro.functions.params import SimLineParams
 from repro.functions.simline import simline_query
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.mpc.machine import Machine, RoundContext, RoundOutput
 from repro.mpc.model import MPCParams
 from repro.mpc.simulator import MPCResult, MPCSimulator

@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.ram.isa import NUM_REGISTERS, Instruction, Op, Program
 
 __all__ = [

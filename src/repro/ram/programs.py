@@ -26,7 +26,7 @@ from repro.bits import Bits
 from repro.functions.line import line_query
 from repro.functions.params import LineParams, SimLineParams
 from repro.functions.simline import simline_query
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.oracle.base import Oracle
 from repro.ram.assembler import Assembler
 from repro.ram.isa import Program

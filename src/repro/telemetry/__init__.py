@@ -26,42 +26,27 @@ stored in their own nullable registry columns (``rss_peak_kb`` /
 ``overhead_frac``), so fingerprints stay bit-identical with telemetry
 on or off, at any ``--jobs N``.  See docs/OBSERVABILITY.md, "Runtime
 telemetry".
+
+Each name below is importable from this package; the submodule that
+defines it is imported when the name is first used
+(:func:`repro._lazy.lazy_exports`).  The trial pool imports
+:mod:`repro.telemetry.config` directly and
+:mod:`repro.telemetry.heartbeat` only when heartbeats are on.
 """
 
-from repro.telemetry.config import (
-    DEFAULT_SAMPLE_INTERVAL_S,
-    DEFAULT_STALL_DEADLINE_S,
-    resolve_telemetry,
-    sample_interval,
-    stall_deadline,
-    telemetry_enabled,
-    use_telemetry,
-)
-from repro.telemetry.heartbeat import (
-    StallDetector,
-    current_rss_kb,
-    emit_heartbeat,
-)
-from repro.telemetry.overhead import OverheadMeter
-from repro.telemetry.sampler import (
-    ResourceSampler,
-    read_proc_status,
-    resource_snapshot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SAMPLE_INTERVAL_S",
-    "DEFAULT_STALL_DEADLINE_S",
-    "OverheadMeter",
-    "ResourceSampler",
-    "StallDetector",
-    "current_rss_kb",
-    "emit_heartbeat",
-    "read_proc_status",
-    "resolve_telemetry",
-    "resource_snapshot",
-    "sample_interval",
-    "stall_deadline",
-    "telemetry_enabled",
-    "use_telemetry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": (
+        "DEFAULT_SAMPLE_INTERVAL_S",
+        "DEFAULT_STALL_DEADLINE_S",
+        "resolve_telemetry",
+        "sample_interval",
+        "stall_deadline",
+        "telemetry_enabled",
+        "use_telemetry",
+    ),
+    "heartbeat": ("StallDetector", "current_rss_kb", "emit_heartbeat"),
+    "overhead": ("OverheadMeter",),
+    "sampler": ("ResourceSampler", "read_proc_status", "resource_snapshot"),
+})

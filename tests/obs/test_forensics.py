@@ -133,6 +133,15 @@ class TestExplainDivergence:
         assert d.changed_attrs == {"key": ("k1", "OTHER")}
         assert d.machine == 1 and d.round == 1
 
+    def test_change_stays_changed_when_the_record_recurs(self):
+        base = small_trace()
+        base.insert(4, base[2])  # the k1 query recurs two records later
+        cur = list(base)
+        cur[2] = ev("oracle.query", 0.20, round=1, machine=1, key="OTHER")
+        d = explain_divergence(base, cur)
+        assert d.kind == "changed"
+        assert d.changed_attrs == {"key": ("k1", "OTHER")}
+
     def test_localization_falls_back_to_preceding_context(self):
         base = [ev("mpc.machine_step", round=3, machine=2, sent_bits=0),
                 ev("trial.result", value=1)]

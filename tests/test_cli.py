@@ -181,18 +181,61 @@ class TestTraceDiffCli:
             "counter_drifts": [],
         }
 
+    @staticmethod
+    def _zeroed_first_query(rows, how):
+        """Change, insert before, or delete E-ENC-A's first query.
+
+        Its key recurs six records later in the same trial, inside the
+        classifier's lookahead.
+        """
+        import copy
+
+        i = next(i for i, r in enumerate(rows) if r["name"] == "oracle.query")
+        zeroed = copy.deepcopy(rows[i])
+        zeroed["attrs"]["key"] = "0" * len(zeroed["attrs"]["key"])
+        if how == "change":
+            rows[i] = zeroed
+        elif how == "insert":
+            rows.insert(i, zeroed)
+        else:
+            del rows[i]
+
     def test_changed_query_key_exits_1(self, tmp_path, capsys):
         """Same counters, one oracle input changed: a different transcript."""
-        def change_key(rows):
-            row = next(r for r in rows if r["name"] == "oracle.query")
-            row["attrs"]["key"] = "0" * len(row["attrs"]["key"])
+        import json
 
         base = self._trace(tmp_path, "E-ENC-A", "base.jsonl")
-        cur = self._mutated(tmp_path, base, change_key)
+        cur = self._mutated(
+            tmp_path, base, lambda rows: self._zeroed_first_query(rows, "change")
+        )
         capsys.readouterr()
         assert main(["trace-diff", base, cur]) == 1
         out = capsys.readouterr().out
-        assert "first divergence" in out and "oracle.query" in out
+        assert "first divergence: changed record" in out
+        assert "oracle.query" in out and "attr key:" in out
+        assert main(["trace-diff", base, cur, "--json"]) == 1
+        first = json.loads(capsys.readouterr().out)["first_divergence"]
+        assert first["kind"] == "changed"
+        assert list(first["changed_attrs"]) == ["key"]
+
+    @pytest.mark.parametrize("how, kind", [
+        ("insert", "extra"),
+        ("delete", "missing"),
+    ])
+    def test_inserted_or_deleted_query_kind(self, tmp_path, capsys, how, kind):
+        import json
+
+        base = self._trace(tmp_path, "E-ENC-A", "base.jsonl")
+        cur = self._mutated(
+            tmp_path, base, lambda rows: self._zeroed_first_query(rows, how)
+        )
+        capsys.readouterr()
+        assert main(["trace-diff", base, cur, "--json"]) == 1
+        first = json.loads(capsys.readouterr().out)["first_divergence"]
+        assert first["kind"] == kind
+        assert first["name"] == "oracle.query"
+        assert first["position"] == 1
+        assert first["changed_attrs"] == {}
 
     def test_swapped_machine_steps_exit_1(self, tmp_path, capsys):
         """Same counters, two adjacent machine steps in the other order."""
