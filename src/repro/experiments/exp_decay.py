@@ -4,7 +4,7 @@ exponentially.
 "Since s <= S/c, a machine can only store a constant fraction of x_i's,
 and since the l_i's are random, the probability that a machine can learn
 the value of p new nodes should decay exponentially in p."  We measure
-exactly that: the chain's pointer sequence is traced under fresh
+exactly that: the chain's pointer sequence is walked under fresh
 oracles, and the probability that a machine storing a fraction ``f`` of
 the pieces can advance ``>= p`` nodes in one round is estimated; it must
 fit ``~f^p``.
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis import fit_exponential_decay
 from repro.experiments.base import ExperimentResult, TableData, register
-from repro.functions import LineParams, sample_input, trace_line
+from repro.functions import LineParams, line_nodes, sample_input
 from repro.obs.convergence import (
     WelfordAccumulator,
     WilsonAccumulator,
@@ -34,15 +34,17 @@ def advance_length(params: LineParams, stored: set[int], seed: int) -> int:
     """Nodes a machine holding ``stored`` advances from node 0.
 
     The machine can evaluate node ``i`` iff it holds ``x_{l_i}``; the
-    run ends at the first pointer outside its store.
+    run ends at the first pointer outside its store.  The walk queries
+    only the nodes it evaluates: node ``i``'s answer names ``l_{i+1}``,
+    so the count is the stored prefix of the full trace's
+    ``pieces_used()`` without the oracle calls past it.
     """
     oracle = LazyRandomOracle(params.n, params.n, seed=seed)
     x = sample_input(params, np.random.default_rng(seed))
-    trace = trace_line(params, x, oracle)
-    count = 0
-    for ell in trace.pieces_used():
-        if ell not in stored:
-            break
+    nodes = line_nodes(params, x, oracle)
+    count, ell = 0, 0  # l_0 = 0
+    while count < params.w and ell in stored:
+        ell, _ = params.next_node(next(nodes).answer)
         count += 1
     return count
 

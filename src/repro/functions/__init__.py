@@ -16,7 +16,13 @@
 """
 
 from repro.functions.inputs import partition_input, sample_input
-from repro.functions.line import LineNode, LineTrace, evaluate_line, trace_line
+from repro.functions.line import (
+    LineNode,
+    LineTrace,
+    evaluate_line,
+    line_nodes,
+    trace_line,
+)
 from repro.functions.params import LineParams, SimLineParams
 from repro.functions.pointer_jump import PointerJumpInstance
 from repro.functions.simline import (
@@ -36,6 +42,7 @@ __all__ = [
     "SimLineTrace",
     "evaluate_line",
     "evaluate_simline",
+    "line_nodes",
     "partition_input",
     "sample_input",
     "trace_line",

@@ -15,7 +15,7 @@ to show that pointer randomness is precisely what closes the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.bits import Bits
 from repro.functions.params import SimLineParams
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimLineNode:
+class SimLineNode(NamedTuple):
     """One chain node: the state *entering* oracle call ``i``."""
 
     i: int
@@ -100,7 +99,7 @@ def trace_simline(
         piece = params.piece_index(i)
         query = simline_query(params, x[piece], r)
         answer = oracle.query(query)
-        nodes.append(SimLineNode(i=i, piece=piece, r=r, query=query, answer=answer))
+        nodes.append(SimLineNode(i, piece, r, query, answer))
         r = params.next_r(answer)
     return SimLineTrace(params=params, nodes=tuple(nodes), output=answer)
 

@@ -11,14 +11,18 @@ uniform-looking, input-determined outputs).
 Construction: absorb the message in 8-byte blocks with a Davies-Meyer-ish
 chain ``state = mix(state ^ block) + block``, inject the message length,
 then finalize.  Arbitrary digest sizes come from counter-mode expansion
-of the final state.
+of the final state.  The chain state after a prefix of whole blocks
+depends on nothing after it, so a caller that hashes many messages
+behind one prefix computes that state once (:func:`toy_absorb`) and runs
+only the rest of the chain per message, as
+:class:`~repro.oracle.lazy.LazyRandomOracle` does behind its seed.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["ToyMDHash", "toy_hash", "toy_hash_batch", "mix64"]
+__all__ = ["ToyMDHash", "toy_absorb", "toy_hash", "toy_hash_batch", "mix64"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _IV = 0x9E3779B97F4A7C15  # golden-ratio constant, the splitmix64 increment
@@ -99,22 +103,38 @@ class ToyMDHash:
 _SEED0_STATE = mix64(_IV ^ mix64(0))
 
 
+def toy_absorb(prefix: bytes, *, seed: int = 0) -> int:
+    """The chain state after absorbing ``prefix``, whole 8-byte blocks.
+
+    :func:`toy_hash` of ``prefix + rest`` continues from this state over
+    the blocks of ``rest``, its padded tail and the total length.
+    """
+    if len(prefix) % 8:
+        raise ValueError(f"prefix of {len(prefix)} bytes is not whole blocks")
+    state = _SEED0_STATE if seed == 0 else mix64(_IV ^ mix64(seed))
+    # Little-endian blocks are the 64-bit words of the little-endian int.
+    words = int.from_bytes(prefix, "little")
+    for _ in range(len(prefix) // 8):
+        block = words & _MASK64
+        words >>= 64
+        state = (mix64(state ^ block) + block) & _MASK64
+    return state
+
+
 def toy_hash(data: bytes, *, digest_size: int = 8, seed: int = 0) -> bytes:
     """One-shot toy hash of ``data``, bit-identical to
     ``ToyMDHash(data, digest_size=digest_size, seed=seed).digest()``.
 
     The same chain as :meth:`ToyMDHash.update` then
-    :meth:`ToyMDHash.digest`, run straight over ``data``: no hash object
-    and no buffer copies.  Below 8 bytes the padded tail is one block.
+    :meth:`ToyMDHash.digest`, run straight over ``data`` with no hash
+    object: :func:`toy_absorb` over the whole blocks, then the padded
+    tail.  Below 8 bytes the padded tail is one block.
     """
     if digest_size <= 0:
         raise ValueError(f"digest_size must be positive, got {digest_size}")
-    state = _SEED0_STATE if seed == 0 else mix64(_IV ^ mix64(seed))
     length = len(data)
     full = length - length % 8
-    for offset in range(0, full, 8):
-        block = int.from_bytes(data[offset : offset + 8], "little")
-        state = (mix64(state ^ block) + block) & _MASK64
+    state = toy_absorb(data[:full], seed=seed)
     # The 0x01 marker ends the tail; its zero fill is the high bytes.
     block = int.from_bytes(data[full:] + b"\x01", "little")
     state = (mix64(state ^ block) + block) & _MASK64

@@ -29,7 +29,7 @@ from repro.oracle.base import DomainError, Oracle, OracleError, QueryBudgetExcee
 from repro.oracle.counting import CountingOracle, QueryRecord
 from repro.oracle.lazy import LazyRandomOracle
 from repro.oracle.patched import PatchedOracle
-from repro.oracle.table import LazyTableOracle, TableOracle
+from repro.oracle.table import LazyTableOracle, TableOracle, uniform_bits
 
 __all__ = [
     "CountingOracle",
@@ -42,4 +42,5 @@ __all__ = [
     "QueryBudgetExceeded",
     "QueryRecord",
     "TableOracle",
+    "uniform_bits",
 ]

@@ -5,8 +5,8 @@ equivalent view is lazy sampling: each fresh query gets an independent
 uniform answer.  To keep the sampled function consistent across parties
 that query in different orders (the RAM evaluator vs. the MPC machines vs.
 the compression argument's replays), the "fresh uniform answer" is derived
-deterministically from ``(seed, query)`` by a PRF built from one of the
-from-scratch hashes.  DESIGN.md records this as the lazy-sampling
+deterministically from ``(seed, query)`` by a PRF built from the toy
+Merkle-Damgard hash.  DESIGN.md records this as the lazy-sampling
 substitution: structurally this is an arbitrary fixed function that the
 algorithms can only learn by querying, which is exactly the property the
 paper's arguments consume.
@@ -14,18 +14,28 @@ paper's arguments consume.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from repro.bits import Bits
-from repro.hashes.sha256 import sha256
-from repro.hashes.toy_md import toy_hash, toy_hash_batch
+from repro.hashes.toy_md import mix64, toy_absorb, toy_hash_batch
 from repro.oracle.base import Oracle
 
 __all__ = ["LazyRandomOracle"]
 
+_MASK64 = (1 << 64) - 1
+
 
 class LazyRandomOracle(Oracle):
     """A PRF-driven lazily sampled oracle ``{0,1}^n_in -> {0,1}^n_out``.
+
+    The answer to ``x`` is the top ``n_out`` bits of
+    ``toy_hash(seed_bytes + key_bytes, digest_size=ceil(n_out / 8))``:
+    ``seed_bytes`` is ``seed`` in 16 little-endian two's-complement
+    bytes, ``key_bytes`` is ``x`` as an integer in ``ceil(n_in / 8)``
+    (at least one) little-endian bytes.  The 16 seed bytes are two whole
+    blocks of the hash, so the chain state after them is computed once,
+    at construction; a first read runs only the rest of the chain, over
+    the key's blocks, and its answer is bit for bit the ``toy_hash`` one.
 
     Parameters
     ----------
@@ -34,27 +44,15 @@ class LazyRandomOracle(Oracle):
     seed:
         Selects the oracle from the family; two oracles with the same
         dimensions and seed are the same function.
-    prf:
-        ``"toy"`` (default) uses the fast toy Merkle-Damgard hash;
-        ``"sha256"`` uses from-scratch SHA-256 -- slower, used when the
-        experiment is explicitly about the hash instantiation.
     """
 
-    def __init__(
-        self,
-        n_in: int,
-        n_out: int,
-        *,
-        seed: int = 0,
-        prf: Literal["toy", "sha256"] = "toy",
-    ) -> None:
+    def __init__(self, n_in: int, n_out: int, *, seed: int = 0) -> None:
         super().__init__(n_in, n_out)
-        if prf not in ("toy", "sha256"):
-            raise ValueError(f"unknown prf {prf!r}")
         self._seed = seed
-        self._prf = prf
         self._seed_bytes = seed.to_bytes(16, "little", signed=True)
+        self._seed_state = toy_absorb(self._seed_bytes)
         self._cache: dict[int, int] = {}
+        self._in_bytes = (n_in + 7) // 8 or 1
         self._out_bytes = (n_out + 7) // 8
 
     @property
@@ -62,26 +60,37 @@ class LazyRandomOracle(Oracle):
         """The family-selection seed."""
         return self._seed
 
-    def _raw(self, material: bytes) -> bytes:
-        if self._prf == "toy":
-            return toy_hash(material, digest_size=self._out_bytes)
-        # Counter-mode expansion of SHA-256 for n_out > 256.
-        out = bytearray()
-        counter = 0
-        while len(out) < self._out_bytes:
-            out += sha256(material + counter.to_bytes(4, "little"))
-            counter += 1
-        return bytes(out[: self._out_bytes])
+    def _prf(self, key: int) -> int:
+        """The answer to ``key``, continuing the chain from the seed."""
+        in_bytes = self._in_bytes
+        state = self._seed_state
+        # The key's whole blocks, then its last bytes and the 0x01 end
+        # marker as the padded tail block.
+        for _ in range(in_bytes >> 3):
+            block = key & _MASK64
+            key >>= 64
+            state = (mix64(state ^ block) + block) & _MASK64
+        block = key | (1 << 8 * (in_bytes & 7))
+        state = (mix64(state ^ block) + block) & _MASK64
+        state = mix64(state ^ (16 + in_bytes))
+        out_bytes = self._out_bytes
+        if out_bytes <= 8:
+            digest = mix64(state).to_bytes(8, "little")
+        else:
+            digest = b"".join(
+                mix64(state + counter).to_bytes(8, "little")
+                for counter in range((out_bytes + 7) // 8)
+            )
+        return int.from_bytes(digest[:out_bytes], "big") >> (
+            8 * out_bytes - self._n_out
+        )
 
     def _evaluate(self, x: Bits) -> Bits:
         key = x.value
         cached = self._cache.get(key)
         if cached is None:
-            material = self._seed_bytes + key.to_bytes((self._n_in + 7) // 8 or 1, "little")
-            digest = self._raw(material)
-            cached = int.from_bytes(digest, "big") >> (8 * self._out_bytes - self._n_out)
-            self._cache[key] = cached
-        return Bits(cached, self._n_out)
+            cached = self._cache[key] = self._prf(key)
+        return Bits._make(cached, self._n_out)
 
     def _evaluate_batch(self, xs: Sequence[Bits]) -> list[Bits]:
         cache = self._cache
@@ -93,18 +102,13 @@ class LazyRandomOracle(Oracle):
                 seen_miss.add(key)
                 misses.append(key)
         if misses:
-            in_bytes = (self._n_in + 7) // 8 or 1
+            in_bytes = self._in_bytes
             seed_bytes = self._seed_bytes
             shift = 8 * self._out_bytes - self._n_out
-            materials = [
-                seed_bytes + key.to_bytes(in_bytes, "little") for key in misses
-            ]
-            if self._prf == "toy":
-                digests = toy_hash_batch(
-                    materials, digest_size=self._out_bytes
-                )
-            else:
-                digests = [self._raw(m) for m in materials]
+            digests = toy_hash_batch(
+                [seed_bytes + key.to_bytes(in_bytes, "little") for key in misses],
+                digest_size=self._out_bytes,
+            )
             for key, digest in zip(misses, digests):
                 cache[key] = int.from_bytes(digest, "big") >> shift
         n_out = self._n_out
@@ -131,7 +135,7 @@ class LazyRandomOracle(Oracle):
         oracle it dwarfs the few identity fields -- dropping it is what
         makes handing oracles to :mod:`repro.parallel` workers cheap.
         The restored oracle computes the identical function (same
-        ``(seed, prf)``), it just re-derives answers on first query.
+        ``seed``), it just re-derives answers on first query.
         """
         state = self.__dict__.copy()
         state["_cache"] = {}

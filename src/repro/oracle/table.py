@@ -23,6 +23,10 @@ distribution of a :meth:`TableOracle.sample` table, whatever the order of
 reads.  A Monte-Carlo trial that reads a handful of entries (the
 skip-ahead adversaries of :mod:`repro.protocols.guessing`) then pays for
 those entries instead of for ``2^n_in`` of them.
+
+:func:`uniform_bits` is the one scalar draw the Monte-Carlo trials make:
+a lazy table's answers, the input pieces of
+:func:`~repro.functions.inputs.sample_input` and the skip-ahead guesses.
 """
 
 from __future__ import annotations
@@ -34,11 +38,39 @@ import numpy as np
 from repro.bits import Bits
 from repro.oracle.base import Oracle
 
-#: Answers up to this width are stored as ``uint64`` and drawn in one
-#: ``rng.integers`` call; wider answers are Python ints.
+#: Answers up to this width are stored as ``uint64``: a table in one
+#: ``rng.integers`` call, a lazy entry in one :func:`uniform_bits` draw.
+#: Wider answers are Python ints drawn from 32-bit limbs.
 _UINT64_BITS = 62
 
-__all__ = ["LazyTableOracle", "TableOracle"]
+__all__ = ["LazyTableOracle", "TableOracle", "uniform_bits"]
+
+
+def uniform_bits(rng: np.random.Generator, k: int) -> int:
+    """A uniform ``k``-bit integer drawn from ``rng``, ``0 <= k <= 64``.
+
+    Equal to ``int(rng.integers(0, 1 << k, dtype=np.uint64))``, and it
+    leaves ``rng`` in the same state, so numpy draws before and after
+    it stay in step.  On a range of ``2^k`` numpy's Lemire reduction
+    multiplies one raw word by ``2^k``, keeps the high half and never
+    rejects: it returns ``next_uint32 >> (32 - k)`` for ``k <= 32`` and
+    ``next_uint64 >> (64 - k)`` above, and draws nothing for ``k = 0``.
+    This calls those two functions of the bit generator directly,
+    through its documented ``ctypes`` interface (numpy builds it once
+    per generator), so it shares the generator's whole state, PCG64's
+    buffered half-word included, and skips the per-call argument
+    handling of ``Generator.integers``.  Like any direct use of the bit
+    generator it does not take the generator's lock: share a generator
+    between threads only through numpy's own methods.
+    """
+    if not 0 <= k <= 64:
+        raise ValueError(f"k={k} must be in [0, 64]")
+    if k == 0:
+        return 0
+    raw = rng.bit_generator.ctypes
+    if k <= 32:
+        return raw.next_uint32(raw.state) >> (32 - k)
+    return raw.next_uint64(raw.state) >> (64 - k)
 
 
 class TableOracle(Oracle):
@@ -168,7 +200,7 @@ class LazyTableOracle(Oracle):
         if answer is None:
             n_out = self._n_out
             if n_out <= _UINT64_BITS:
-                answer = int(self._rng.integers(0, 1 << n_out, dtype=np.uint64))
+                answer = uniform_bits(self._rng, n_out)
             else:
                 answer = _draw_wide(n_out, self._rng)
             self._answers[x.value] = answer
@@ -179,7 +211,7 @@ def _draw_wide(n_out: int, rng: np.random.Generator) -> int:
     """One uniform answer wider than ``uint64``, from 32-bit limbs."""
     acc = 0
     for _ in range((n_out + 31) // 32):
-        acc = (acc << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
+        acc = (acc << 32) | uniform_bits(rng, 32)
     return acc & ((1 << n_out) - 1)
 
 

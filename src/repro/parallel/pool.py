@@ -71,6 +71,8 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from repro.obs.tracer import (
     NULL_TRACER,
     TraceRecord,
@@ -230,6 +232,16 @@ def _raise_trial_failure(exc: BaseException, trial: int, worker: int):
     raise exc
 
 
+def _numeric(payload: object) -> bool | int | float | None:
+    """A trial result as the Python number ``trial.result`` echoes, or
+    None for a result that is not one."""
+    if isinstance(payload, (np.bool_, np.integer, np.floating)):
+        payload = payload.item()
+    if isinstance(payload, (bool, int, float)):
+        return payload
+    return None
+
+
 def _is_picklable(fn: Callable) -> bool:
     try:
         pickle.dumps(fn)
@@ -252,9 +264,11 @@ class TrialPool:
     echoed into the ambient stream as a ``trial.result`` event --
     ``estimate=<name> trial=<t> worker=<chunk> value=<float>
     binary=<bool>`` -- during ordered collection in the *parent*, so
-    the event stream is identical at every ``--jobs N``.  The
-    :class:`~repro.obs.ConvergenceMonitor` folds these into streaming
-    confidence intervals.
+    the event stream is identical at every ``--jobs N``.  Numeric means
+    a Python ``bool``, ``int`` or ``float``, or a numpy bool, integer or
+    floating scalar, echoed as its Python value (a numpy bool is
+    binary).  The :class:`~repro.obs.ConvergenceMonitor` folds these
+    into streaming confidence intervals.
     """
 
     jobs: int | None = None
@@ -322,19 +336,17 @@ class TrialPool:
                     _replay(records, worker, t)
                 if not ok:
                     _raise_trial_failure(payload, t, worker)
-                if (
-                    capture
-                    and self.estimate is not None
-                    and isinstance(payload, (bool, int, float))
-                ):
-                    tracer.event(
-                        "trial.result",
-                        estimate=self.estimate,
-                        trial=t,
-                        worker=worker,
-                        value=float(payload),
-                        binary=isinstance(payload, bool),
-                    )
+                if capture and self.estimate is not None:
+                    value = _numeric(payload)
+                    if value is not None:
+                        tracer.event(
+                            "trial.result",
+                            estimate=self.estimate,
+                            trial=t,
+                            worker=worker,
+                            value=float(value),
+                            binary=isinstance(value, bool),
+                        )
                 results[t] = payload
         return [results[t] for t in sorted(results)]
 

@@ -53,7 +53,7 @@ from repro.functions.params import SimLineParams
 from repro.functions.inputs import sample_input
 from repro.obs.tracer import get_tracer
 from repro.oracle.patched import PatchedOracle
-from repro.oracle.table import LazyTableOracle
+from repro.oracle.table import LazyTableOracle, uniform_bits
 from repro.parallel import map_trials, seed_sequence
 
 __all__ = ["GuessingReport", "estimate_line_skip_probability", "estimate_simline_skip_probability"]
@@ -87,7 +87,7 @@ def _random_bits(n: int, rng: np.random.Generator) -> Bits:
     remaining = n
     while remaining > 0:
         take = min(32, remaining)
-        value = (value << take) | int(rng.integers(0, 1 << take, dtype=np.uint64))
+        value = (value << take) | uniform_bits(rng, take)
         remaining -= take
     return Bits(value, n)
 
@@ -96,7 +96,7 @@ def _guess_r(
     strategy: Strategy, u: int, rng: np.random.Generator, rerun_value: Bits | None
 ) -> Bits:
     if strategy == "uniform":
-        return Bits(int(rng.integers(0, 1 << u)), u)
+        return Bits(uniform_bits(rng, u), u)
     if strategy == "zero":
         return Bits.zeros(u)
     if strategy == "rerun":

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bits import Bits
-from repro.functions import LineParams, evaluate_line, sample_input, trace_line
+from repro.functions import (
+    LineParams,
+    evaluate_line,
+    line_nodes,
+    sample_input,
+    trace_line,
+)
 from repro.functions.line import line_query
 from repro.oracle import CountingOracle, LazyRandomOracle, TableOracle
 
@@ -98,6 +104,24 @@ class TestEvaluation:
         x = sample_input(params, rng)
         out = evaluate_line(params, x, ro)
         assert len(out) == params.n
+
+
+class TestLineNodes:
+    def test_queries_only_the_nodes_taken(self, params, oracle, rng):
+        x = sample_input(params, rng)
+        counting = CountingOracle(oracle)
+        nodes = line_nodes(params, x, counting)
+        assert counting.total_queries == 0
+        taken = [next(nodes) for _ in range(3)]
+        assert counting.total_queries == 3
+        assert tuple(taken) == trace_line(params, x, oracle).nodes[:3]
+
+    def test_checks_run_at_the_call(self, params, oracle, rng):
+        x = sample_input(params, rng)
+        with pytest.raises(ValueError):
+            line_nodes(params, x[:-1], oracle)
+        with pytest.raises(ValueError):
+            line_nodes(params, x, LazyRandomOracle(params.n + 1, params.n + 1))
 
 
 class TestValidation:

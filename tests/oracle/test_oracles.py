@@ -69,19 +69,37 @@ class TestLazyRandomOracle:
         out = ro.query(Bits(5, 10))
         assert len(out) == 13
 
-    def test_sha256_prf_variant(self):
-        ro = LazyRandomOracle(16, 300, seed=0, prf="sha256")
+    def test_counter_mode_output_wider_than_a_word(self):
+        ro = LazyRandomOracle(16, 300, seed=0)
         out = ro.query(Bits(99, 16))
         assert len(out) == 300
+        # 38 bytes: five counter-mode words of the toy hash, cut to 300 bits.
+        digest = toy_hash(bytes(16) + (99).to_bytes(2, "little"), digest_size=38)
+        assert out.value == int.from_bytes(digest, "big") >> 4
 
-    def test_sha256_and_toy_differ(self):
-        a = LazyRandomOracle(16, 16, seed=0, prf="toy")
-        b = LazyRandomOracle(16, 16, seed=0, prf="sha256")
-        assert any(a.query(Bits(i, 16)) != b.query(Bits(i, 16)) for i in range(16))
-
-    def test_unknown_prf_rejected(self):
-        with pytest.raises(ValueError):
-            LazyRandomOracle(8, 8, prf="md5")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(-(2**127), 2**127 - 1),
+        n_in=st.integers(0, 200),
+        n_out=st.integers(1, 130),
+        data=st.data(),
+    )
+    def test_prf_is_the_toy_hash_of_seed_and_key(self, seed, n_in, n_out, data):
+        """The seed-absorbed kernel is bit for bit ``toy_hash(seed || key)``,
+        on a first read, a cached read and the batch path."""
+        key = data.draw(st.integers(0, (1 << n_in) - 1))
+        out_bytes = (n_out + 7) // 8
+        digest = toy_hash(
+            seed.to_bytes(16, "little", signed=True)
+            + key.to_bytes((n_in + 7) // 8 or 1, "little"),
+            digest_size=out_bytes,
+        )
+        expected = Bits(int.from_bytes(digest, "big") >> (8 * out_bytes - n_out), n_out)
+        ro = LazyRandomOracle(n_in, n_out, seed=seed)
+        assert ro.query(Bits(key, n_in)) == expected
+        assert ro.query(Bits(key, n_in)) == expected
+        fresh = LazyRandomOracle(n_in, n_out, seed=seed)
+        assert fresh.query_batch([Bits(key, n_in)]) == [expected]
 
     def test_cache_size(self):
         ro = LazyRandomOracle(8, 8)

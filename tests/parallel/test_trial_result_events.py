@@ -1,5 +1,6 @@
 """The ``trial.result`` event stream ``map_trials(estimate=...)`` emits."""
 
+import numpy as np
 import pytest
 
 from repro.obs import ConvergenceMonitor, Tracer, use_tracer
@@ -8,6 +9,18 @@ from repro.parallel import map_trials
 
 def _coin(seed):
     return seed % 3 == 0
+
+
+def _numpy_count(seed):
+    return np.int64(seed % 3)
+
+
+def _numpy_coin(seed):
+    return np.bool_(seed % 3 == 0)
+
+
+def _numpy_rate(seed):
+    return np.float32(seed / 4)
 
 
 def _length(seed):
@@ -56,6 +69,27 @@ class TestTrialResultEvents:
             map_trials(_length, range(8), jobs=1, estimate="len")
         events = _events(tracer.records)
         assert all(e.attrs["binary"] is False for e in events)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_numpy_scalars_echo_their_python_value(self, jobs):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            map_trials(_numpy_count, range(4), jobs=jobs, estimate="count")
+            map_trials(_numpy_coin, range(4), jobs=jobs, estimate="coin")
+            map_trials(_numpy_rate, range(4), jobs=jobs, estimate="rate")
+        events = _events(tracer.records)
+        rows = [
+            (e.attrs["estimate"], e.attrs["trial"], e.attrs["value"],
+             e.attrs["binary"])
+            for e in events
+        ]
+        assert rows == (
+            [("count", s, float(s % 3), False) for s in range(4)]
+            + [("coin", s, float(s % 3 == 0), True) for s in range(4)]
+            + [("rate", s, s / 4, False) for s in range(4)]
+        )
+        assert all(type(e.attrs["value"]) is float for e in events)
+        assert all(type(e.attrs["binary"]) is bool for e in events)
 
     def test_no_estimate_no_events(self):
         tracer = Tracer()
