@@ -16,7 +16,7 @@ from typing import Literal, Protocol, Sequence
 import numpy as np
 
 from repro.bits import Bits
-from repro.oracle.table import uniform_bits
+from repro.oracle.table import uniform_wide
 
 __all__ = ["sample_input", "partition_input", "Placement"]
 
@@ -29,24 +29,10 @@ class _HasUV(Protocol):
 
 
 def sample_input(params: _HasUV, rng: np.random.Generator) -> list[Bits]:
-    """Draw ``X = x_0 .. x_{v-1}`` uniformly, each piece ``u`` bits.
-
-    A piece of at most 62 bits is one :func:`uniform_bits` draw, a wider
-    one is assembled from limbs of at most 32 bits.
-    """
-    pieces: list[Bits] = []
-    for _ in range(params.v):
-        if params.u <= 62:
-            value = uniform_bits(rng, params.u)
-        else:
-            value = 0
-            remaining = params.u
-            while remaining > 0:
-                take = min(32, remaining)
-                value = (value << take) | uniform_bits(rng, take)
-                remaining -= take
-        pieces.append(Bits(value, params.u))
-    return pieces
+    """Draw ``X = x_0 .. x_{v-1}`` uniformly, each piece ``u`` bits, one
+    :func:`~repro.oracle.table.uniform_wide` draw per piece."""
+    u = params.u
+    return [Bits(uniform_wide(rng, u), u) for _ in range(params.v)]
 
 
 def partition_input(

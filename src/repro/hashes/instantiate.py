@@ -9,20 +9,21 @@ hash computation of cost ``t_h``.
 
 The wrapper also *measures* ``t_h``: it counts compression-function-level
 work (bytes hashed) so the ``O(T * t_h)`` RAM cost claim of Theorem 1.1
-becomes a measurable quantity in experiment E-HASH.
+becomes a measurable quantity in experiment E-HASH.  Like the lazy random
+oracle it computes each distinct answer once, so the counters measure
+hashes computed, not queries answered.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.bits import Bits
-from repro.oracle.base import Oracle
+from repro.oracle.base import MemoOracle
 
 __all__ = ["HashOracle"]
 
 
-class HashOracle(Oracle):
+class HashOracle(MemoOracle):
     """An oracle computed by a concrete hash function.
 
     Parameters
@@ -57,16 +58,22 @@ class HashOracle(Oracle):
 
     @property
     def hash_calls(self) -> int:
-        """Number of underlying hash invocations (measures ``T`` vs ``t_h``)."""
+        """Hash invocations so far (measures ``T`` vs ``t_h``).
+
+        Only a first read hashes: a repeated query is answered from the
+        memo and adds nothing, so this counts hashes computed, not
+        queries answered.
+        """
         return self._calls
 
     @property
     def bytes_hashed(self) -> int:
-        """Total bytes fed to the hash (proxy for ``t_h`` work)."""
+        """Total bytes fed to the hash (proxy for ``t_h`` work); like
+        :attr:`hash_calls`, it grows on first reads only."""
         return self._bytes_hashed
 
-    def _evaluate(self, x: Bits) -> Bits:
-        material = self._label + x.value.to_bytes(self._in_bytes, "big")
+    def _compute(self, key: int) -> int:
+        material = self._label + key.to_bytes(self._in_bytes, "big")
         out = bytearray()
         counter = 0
         while len(out) < self._out_bytes:
@@ -82,5 +89,4 @@ class HashOracle(Oracle):
             out += digest
             counter += 1
         value = int.from_bytes(bytes(out[: self._out_bytes]), "big")
-        excess = 8 * self._out_bytes - self._n_out
-        return Bits(value >> excess, self._n_out)
+        return value >> (8 * self._out_bytes - self._n_out)

@@ -18,6 +18,7 @@ from repro.mpc.correctness import (
     estimate_success_probability,
     estimate_worst_case_success,
     run_with_budget,
+    run_with_budgets,
 )
 from repro.mpc.derandomize import DerandomizedMachine, split_oracle
 from repro.mpc.errors import MemoryExceeded, ProtocolError
@@ -43,5 +44,6 @@ __all__ = [
     "estimate_success_probability",
     "estimate_worst_case_success",
     "run_with_budget",
+    "run_with_budgets",
     "split_oracle",
 ]

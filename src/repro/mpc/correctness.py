@@ -12,6 +12,11 @@ the correct output exists among the machine outputs at the cut
 average-case distribution of Definition 2.5 -- and returns the success
 frequency for each budget in a sweep, which experiment E-BUDGET turns
 into the success-probability transition curve.
+
+A sweep runs each instance once, to its largest budget, and reads every
+smaller cut from that run (:meth:`~repro.mpc.simulator.MPCResult.outputs_at`):
+no machine sees ``max_rounds``, so a run cut after ``R`` rounds is the
+first ``R`` rounds of the longer one, call for call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.oracle.base import Oracle
 __all__ = [
     "BudgetedRun",
     "run_with_budget",
+    "run_with_budgets",
     "estimate_success_probability",
     "estimate_worst_case_success",
 ]
@@ -54,17 +60,65 @@ def run_with_budget(
     expected_output: Bits,
 ) -> BudgetedRun:
     """Execute at most ``budget`` rounds; success iff the expected output
-    is among the machine outputs when the cut hits (or at halt)."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    capped = replace(params, max_rounds=budget)
+    is among the machine outputs when the cut hits (or at halt).
+
+    The one-budget case of :func:`run_with_budgets`.
+    """
+    (run,) = run_with_budgets(
+        params, machines, initial_memories, oracle,
+        budgets=[budget], expected_output=expected_output,
+    )
+    return run
+
+
+def run_with_budgets(
+    params: MPCParams,
+    machines: Sequence[Machine],
+    initial_memories: Sequence[Bits],
+    oracle: Oracle,
+    *,
+    budgets: Sequence[int],
+    expected_output: Bits,
+) -> list[BudgetedRun]:
+    """One :class:`BudgetedRun` per budget, in order, from a single run.
+
+    The protocol runs once with ``max_rounds`` set to the largest
+    budget.  Each budget's verdict is read from the outputs that run had
+    logged by the end of that round, and its rounds used are the cut or
+    the halt round, whichever comes first: exactly what a separate run
+    with ``max_rounds`` set to that budget returns.  (A protocol that
+    raises after a smaller budget's cut raises here too.)  Budgets must
+    be positive and distinct.
+    """
+    budgets = _checked_budgets(budgets)
+    capped = replace(params, max_rounds=max(budgets))
     sim = MPCSimulator(capped, machines, oracle=oracle)
     result = sim.run(list(initial_memories))
-    return BudgetedRun(
-        budget=budget,
-        succeeded=expected_output in result.outputs.values(),
-        rounds_used=result.rounds,
-    )
+    return [
+        BudgetedRun(
+            budget=budget,
+            succeeded=expected_output in result.outputs_at(budget).values(),
+            rounds_used=min(budget, result.rounds),
+        )
+        for budget in budgets
+    ]
+
+
+def _checked_budgets(budgets: Sequence[int]) -> list[int]:
+    """``budgets`` as a list; raises ``ValueError`` on an empty list, a
+    non-positive budget or a repeated one."""
+    budgets = list(budgets)
+    if not budgets:
+        raise ValueError("need at least one budget")
+    for budget in budgets:
+        if budget <= 0:
+            raise ValueError(f"budget must be positive, got {budget}")
+    if len(set(budgets)) != len(budgets):
+        repeated = sorted({b for b in budgets if budgets.count(b) > 1})
+        raise ValueError(
+            f"budgets must be distinct, got {repeated} more than once"
+        )
+    return budgets
 
 
 def estimate_success_probability(
@@ -81,26 +135,25 @@ def estimate_success_probability(
 
     ``sample_instance(seed)`` draws one average-case instance and returns
     everything a budgeted run needs, including the correct output (the
-    caller computes it with the reference evaluator).  Each trial reuses
-    one instance across all budgets so the curves are paired -- lower
-    variance on the transition location.
+    caller computes it with the reference evaluator).  Each trial samples
+    one instance and runs it once (:func:`run_with_budgets`), so the
+    curves are paired -- lower variance on the transition location.
+    Budgets must be positive and distinct; they are checked before the
+    first instance is sampled.
     """
     if trials <= 0:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not budgets:
-        raise ValueError("need at least one budget")
+    budgets = _checked_budgets(budgets)
     successes = {b: 0 for b in budgets}
     rng = np.random.default_rng(base_seed)
     for _ in range(trials):
         seed = int(rng.integers(0, 2**62))
-        for budget in budgets:
-            params, machines, memories, oracle, expected = sample_instance(seed)
-            run = run_with_budget(
-                params, machines, memories, oracle,
-                budget=budget, expected_output=expected,
-            )
-            if run.succeeded:
-                successes[budget] += 1
+        params, machines, memories, oracle, expected = sample_instance(seed)
+        for run in run_with_budgets(
+            params, machines, memories, oracle,
+            budgets=budgets, expected_output=expected,
+        ):
+            successes[run.budget] += run.succeeded
     return {b: successes[b] / trials for b in budgets}
 
 
@@ -128,6 +181,7 @@ def estimate_worst_case_success(
         raise ValueError(
             f"invalid (num_inputs={num_inputs}, trials={trials_per_input})"
         )
+    _checked_budgets([budget])
     rng = np.random.default_rng(base_seed)
     worst_rate = 1.0
     worst_input = 0

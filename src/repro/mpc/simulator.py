@@ -36,7 +36,13 @@ __all__ = ["MPCSimulator", "MPCResult"]
 
 @dataclass
 class MPCResult:
-    """Outcome of a simulation."""
+    """Outcome of a simulation.
+
+    ``outputs`` holds each machine's last output.  ``output_log`` holds
+    every output in the order the machines produced it, as ``(round,
+    machine, output)``, so :meth:`outputs_at` can tell what a run cut
+    after fewer rounds would have returned.
+    """
 
     rounds: int
     outputs: dict[int, Bits]
@@ -44,6 +50,32 @@ class MPCResult:
     halted: bool
     oracle: CountingOracle | None
     first_output_round: int | None = None
+    output_log: tuple[tuple[int, int, Bits], ...] = ()
+
+    def outputs_at(self, rounds: int) -> dict[int, Bits]:
+        """The ``outputs`` of the same run with ``max_rounds=rounds``.
+
+        No machine sees ``max_rounds``, so a run cut after ``rounds``
+        rounds makes the same calls in the same order as this one's
+        first ``rounds`` rounds, and returns the outputs logged before
+        the cut (Definition 2.4's outputs at the end of round ``R``).
+        A run that did not halt cannot tell what it would have output
+        after its last round, so ``rounds`` may exceed :attr:`rounds`
+        only when it halted.
+        """
+        if rounds <= 0:
+            raise ValueError(f"rounds must be positive, got {rounds}")
+        if rounds > self.rounds and not self.halted:
+            raise ValueError(
+                f"the run stopped at its {self.rounds}-round limit without "
+                f"halting; it has no outputs at round {rounds}"
+            )
+        outputs: dict[int, Bits] = {}
+        for round_k, machine, output in self.output_log:
+            if round_k >= rounds:
+                break
+            outputs[machine] = output
+        return outputs
 
     def combined_output(self) -> Bits:
         """The union of machine outputs, concatenated by machine id."""
@@ -188,6 +220,7 @@ class MPCSimulator:
         ]
         stats = MPCStats()
         outputs: dict[int, Bits] = {}
+        output_log: list[tuple[int, int, Bits]] = []
         first_output_round: int | None = None
 
         # Hoisted out of the per-machine loop: attribute loads and
@@ -332,6 +365,7 @@ class MPCSimulator:
                     )
                 if result.output is not None:
                     outputs[i] = result.output
+                    output_log.append((round_k, i, result.output))
                     if first_output_round is None:
                         first_output_round = round_k
                 if result.halt:
@@ -370,6 +404,7 @@ class MPCSimulator:
                     halted=True,
                     oracle=self._oracle,
                     first_output_round=first_output_round,
+                    output_log=tuple(output_log),
                 )
             inboxes = next_inboxes
 
@@ -382,6 +417,7 @@ class MPCSimulator:
             halted=False,
             oracle=self._oracle,
             first_output_round=first_output_round,
+            output_log=tuple(output_log),
         )
 
     def _trace_run(self, tracer, run_span, rounds, halted, stats) -> None:

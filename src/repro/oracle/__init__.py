@@ -29,7 +29,12 @@ from repro.oracle.base import DomainError, Oracle, OracleError, QueryBudgetExcee
 from repro.oracle.counting import CountingOracle, QueryRecord
 from repro.oracle.lazy import LazyRandomOracle
 from repro.oracle.patched import PatchedOracle
-from repro.oracle.table import LazyTableOracle, TableOracle, uniform_bits
+from repro.oracle.table import (
+    LazyTableOracle,
+    TableOracle,
+    uniform_bits,
+    uniform_wide,
+)
 
 __all__ = [
     "CountingOracle",
@@ -43,4 +48,5 @@ __all__ = [
     "QueryRecord",
     "TableOracle",
     "uniform_bits",
+    "uniform_wide",
 ]

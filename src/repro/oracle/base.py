@@ -19,7 +19,13 @@ from typing import Sequence
 
 from repro.bits import Bits
 
-__all__ = ["Oracle", "OracleError", "DomainError", "QueryBudgetExceeded"]
+__all__ = [
+    "DomainError",
+    "MemoOracle",
+    "Oracle",
+    "OracleError",
+    "QueryBudgetExceeded",
+]
 
 
 class OracleError(Exception):
@@ -97,3 +103,54 @@ class Oracle(ABC):
     @abstractmethod
     def _evaluate(self, x: Bits) -> Bits:
         """Compute the answer for an in-domain query."""
+
+
+class MemoOracle(Oracle):
+    """An oracle that computes each distinct answer once.
+
+    A subclass fixes the function through :meth:`_compute`, which maps a
+    query's integer value to the answer's; the first read of a query
+    calls it, and every later read returns the memoized answer.  The
+    memo is recomputable state: :meth:`clear_cache` drops it, and so
+    does pickling, which keeps oracles cheap to hand to
+    :mod:`repro.parallel` workers.
+    """
+
+    def __init__(self, n_in: int, n_out: int) -> None:
+        super().__init__(n_in, n_out)
+        self._cache: dict[int, int] = {}
+
+    @abstractmethod
+    def _compute(self, key: int) -> int:
+        """The answer's value for the query value ``key``, in
+        ``[0, 2^n_out)``."""
+
+    def _evaluate(self, x: Bits) -> Bits:
+        key = x.value
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._cache[key] = self._compute(key)
+        return Bits._make(cached, self._n_out)
+
+    def cache_size(self) -> int:
+        """Number of distinct queries answered so far."""
+        return len(self._cache)
+
+    def clear_cache(self) -> None:
+        """Drop the memo (the function itself is unchanged).
+
+        Every answer is recomputed on its next read, so clearing only
+        trades time for memory.
+        """
+        self._cache.clear()
+
+    def __getstate__(self) -> dict:
+        """Pickle without the memo: the restored oracle computes the
+        same function and re-derives each answer on its first read."""
+        state = self.__dict__.copy()
+        state["_cache"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._cache = {}

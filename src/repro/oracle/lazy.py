@@ -18,14 +18,14 @@ from typing import Sequence
 
 from repro.bits import Bits
 from repro.hashes.toy_md import mix64, toy_absorb, toy_hash_batch
-from repro.oracle.base import Oracle
+from repro.oracle.base import MemoOracle
 
 __all__ = ["LazyRandomOracle"]
 
 _MASK64 = (1 << 64) - 1
 
 
-class LazyRandomOracle(Oracle):
+class LazyRandomOracle(MemoOracle):
     """A PRF-driven lazily sampled oracle ``{0,1}^n_in -> {0,1}^n_out``.
 
     The answer to ``x`` is the top ``n_out`` bits of
@@ -51,7 +51,6 @@ class LazyRandomOracle(Oracle):
         self._seed = seed
         self._seed_bytes = seed.to_bytes(16, "little", signed=True)
         self._seed_state = toy_absorb(self._seed_bytes)
-        self._cache: dict[int, int] = {}
         self._in_bytes = (n_in + 7) // 8 or 1
         self._out_bytes = (n_out + 7) // 8
 
@@ -60,7 +59,7 @@ class LazyRandomOracle(Oracle):
         """The family-selection seed."""
         return self._seed
 
-    def _prf(self, key: int) -> int:
+    def _compute(self, key: int) -> int:
         """The answer to ``key``, continuing the chain from the seed."""
         in_bytes = self._in_bytes
         state = self._seed_state
@@ -85,13 +84,6 @@ class LazyRandomOracle(Oracle):
             8 * out_bytes - self._n_out
         )
 
-    def _evaluate(self, x: Bits) -> Bits:
-        key = x.value
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = self._prf(key)
-        return Bits._make(cached, self._n_out)
-
     def _evaluate_batch(self, xs: Sequence[Bits]) -> list[Bits]:
         cache = self._cache
         misses: list[int] = []
@@ -114,33 +106,3 @@ class LazyRandomOracle(Oracle):
         n_out = self._n_out
         make = Bits._make  # cached values are < 2**n_out by construction
         return [make(cache[x.value], n_out) for x in xs]
-
-    def cache_size(self) -> int:
-        """Number of distinct queries answered so far (lazy table size)."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop the memo table (the function itself is unchanged).
-
-        Every answer is recomputed from ``(seed, query)`` on demand, so
-        clearing only trades time for memory -- useful before shipping
-        an oracle somewhere, or after a large enumeration.
-        """
-        self._cache.clear()
-
-    def __getstate__(self) -> dict:
-        """Pickle without the memo table.
-
-        The cache is pure recomputable state, and for a well-queried
-        oracle it dwarfs the few identity fields -- dropping it is what
-        makes handing oracles to :mod:`repro.parallel` workers cheap.
-        The restored oracle computes the identical function (same
-        ``seed``), it just re-derives answers on first query.
-        """
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cache = {}

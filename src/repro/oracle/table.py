@@ -24,13 +24,15 @@ reads.  A Monte-Carlo trial that reads a handful of entries (the
 skip-ahead adversaries of :mod:`repro.protocols.guessing`) then pays for
 those entries instead of for ``2^n_in`` of them.
 
-:func:`uniform_bits` is the one scalar draw the Monte-Carlo trials make:
+:func:`uniform_wide` is the one scalar draw the Monte-Carlo trials make:
 a lazy table's answers, the input pieces of
 :func:`~repro.functions.inputs.sample_input` and the skip-ahead guesses.
+Up to 64 bits it is one :func:`uniform_bits` draw on the bit generator.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,12 +40,54 @@ import numpy as np
 from repro.bits import Bits
 from repro.oracle.base import Oracle
 
-#: Answers up to this width are stored as ``uint64``: a table in one
-#: ``rng.integers`` call, a lazy entry in one :func:`uniform_bits` draw.
-#: Wider answers are Python ints drawn from 32-bit limbs.
+#: Answers up to this width are stored as ``uint64``, a table in one
+#: ``rng.integers`` call; wider ones are Python ints.
 _UINT64_BITS = 62
 
-__all__ = ["LazyTableOracle", "TableOracle", "uniform_bits"]
+__all__ = ["LazyTableOracle", "TableOracle", "uniform_bits", "uniform_wide"]
+
+
+class _BitGen(ctypes.Structure):
+    """The head of numpy's ``bitgen_t`` (``numpy/random/bitgen.h``), the
+    struct a bit generator's ``capsule`` points to."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.c_void_p),
+        ("next_uint32", ctypes.c_void_p),
+    ]
+
+
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+_NextUint32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NextUint64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+
+#: Callables per ``(next_uint32, next_uint64)`` address pair: one entry
+#: per bit-generator type, since every instance shares its type's code.
+_raw_functions: dict[tuple[int, int], tuple] = {}
+
+#: ``(bit generator, next_uint32, next_uint64, state)`` of the generator
+#: :func:`uniform_bits` drew from last.
+_last_raw: tuple = (None, None, None, None)
+
+
+def _read_bitgen(bit_generator) -> tuple:
+    """Read ``bit_generator``'s ``bitgen_t`` into the one-entry cache."""
+    global _last_raw
+    raw = _BitGen.from_address(
+        _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+    )
+    key = (raw.next_uint32, raw.next_uint64)
+    functions = _raw_functions.get(key)
+    if functions is None:
+        functions = _raw_functions[key] = (
+            _NextUint32(raw.next_uint32),
+            _NextUint64(raw.next_uint64),
+        )
+    _last_raw = (bit_generator, *functions, ctypes.c_void_p(raw.state))
+    return _last_raw
 
 
 def uniform_bits(rng: np.random.Generator, k: int) -> int:
@@ -55,22 +99,45 @@ def uniform_bits(rng: np.random.Generator, k: int) -> int:
     multiplies one raw word by ``2^k``, keeps the high half and never
     rejects: it returns ``next_uint32 >> (32 - k)`` for ``k <= 32`` and
     ``next_uint64 >> (64 - k)`` above, and draws nothing for ``k = 0``.
-    This calls those two functions of the bit generator directly,
-    through its documented ``ctypes`` interface (numpy builds it once
-    per generator), so it shares the generator's whole state, PCG64's
-    buffered half-word included, and skips the per-call argument
-    handling of ``Generator.integers``.  Like any direct use of the bit
-    generator it does not take the generator's lock: share a generator
-    between threads only through numpy's own methods.
+    This calls those two functions of the bit generator directly.  It
+    takes them and the state pointer from the ``bitgen_t`` struct that
+    ``rng.bit_generator.capsule`` points to, numpy's documented C API,
+    and reads that struct again only when the draws move to another
+    generator, so a trial that draws from one generator reads it once.
+    It shares the generator's whole state, PCG64's buffered half-word
+    included, and skips the per-call argument handling of
+    ``Generator.integers``.  Like any direct use of the bit generator it
+    does not take the generator's lock: share a generator between
+    threads only through numpy's own methods.
     """
     if not 0 <= k <= 64:
         raise ValueError(f"k={k} must be in [0, 64]")
     if k == 0:
         return 0
-    raw = rng.bit_generator.ctypes
+    bit_generator = rng.bit_generator
+    raw = _last_raw
+    if raw[0] is not bit_generator:
+        raw = _read_bitgen(bit_generator)
     if k <= 32:
-        return raw.next_uint32(raw.state) >> (32 - k)
-    return raw.next_uint64(raw.state) >> (64 - k)
+        return raw[1](raw[3]) >> (32 - k)
+    return raw[2](raw[3]) >> (64 - k)
+
+
+def uniform_wide(rng: np.random.Generator, k: int) -> int:
+    """A uniform ``k``-bit integer drawn from ``rng``, any ``k >= 0``.
+
+    Up to 64 bits this is one :func:`uniform_bits` draw.  A wider value
+    is assembled from 32-bit limbs, most significant first, with the
+    ``k mod 32`` remaining low bits drawn last.
+    """
+    if k <= 64:
+        return uniform_bits(rng, k)
+    value = 0
+    while k > 0:
+        take = min(32, k)
+        value = (value << take) | uniform_bits(rng, take)
+        k -= take
+    return value
 
 
 class TableOracle(Oracle):
@@ -103,7 +170,7 @@ class TableOracle(Oracle):
             Oracle.__init__(oracle, n_in, n_out)
             oracle._table = _checked_array(values, n_out, copy=False)
             return oracle
-        return cls(n_in, n_out, [_draw_wide(n_out, rng) for _ in range(size)])
+        return cls(n_in, n_out, [uniform_wide(rng, n_out) for _ in range(size)])
 
     def _evaluate(self, x: Bits) -> Bits:
         # Entries were range-checked against n_out at construction.
@@ -196,23 +263,11 @@ class LazyTableOracle(Oracle):
         self._answers: dict[int, int] = {}
 
     def _evaluate(self, x: Bits) -> Bits:
-        answer = self._answers.get(x.value)
+        answers = self._answers
+        answer = answers.get(x.value)
         if answer is None:
-            n_out = self._n_out
-            if n_out <= _UINT64_BITS:
-                answer = uniform_bits(self._rng, n_out)
-            else:
-                answer = _draw_wide(n_out, self._rng)
-            self._answers[x.value] = answer
+            answer = answers[x.value] = uniform_wide(self._rng, self._n_out)
         return Bits._make(answer, self._n_out)
-
-
-def _draw_wide(n_out: int, rng: np.random.Generator) -> int:
-    """One uniform answer wider than ``uint64``, from 32-bit limbs."""
-    acc = 0
-    for _ in range((n_out + 31) // 32):
-        acc = (acc << 32) | uniform_bits(rng, 32)
-    return acc & ((1 << n_out) - 1)
 
 
 def _check_domain(n_in: int, entries: int) -> None:

@@ -53,7 +53,7 @@ from repro.functions.params import SimLineParams
 from repro.functions.inputs import sample_input
 from repro.obs.tracer import get_tracer
 from repro.oracle.patched import PatchedOracle
-from repro.oracle.table import LazyTableOracle, uniform_bits
+from repro.oracle.table import LazyTableOracle, uniform_wide
 from repro.parallel import map_trials, seed_sequence
 
 __all__ = ["GuessingReport", "estimate_line_skip_probability", "estimate_simline_skip_probability"]
@@ -82,21 +82,15 @@ class GuessingReport:
 
 
 def _random_bits(n: int, rng: np.random.Generator) -> Bits:
-    """A uniform ``n``-bit string assembled from 32-bit limbs."""
-    value = 0
-    remaining = n
-    while remaining > 0:
-        take = min(32, remaining)
-        value = (value << take) | uniform_bits(rng, take)
-        remaining -= take
-    return Bits(value, n)
+    """A uniform ``n``-bit string."""
+    return Bits(uniform_wide(rng, n), n)
 
 
 def _guess_r(
     strategy: Strategy, u: int, rng: np.random.Generator, rerun_value: Bits | None
 ) -> Bits:
     if strategy == "uniform":
-        return Bits(uniform_bits(rng, u), u)
+        return _random_bits(u, rng)
     if strategy == "zero":
         return Bits.zeros(u)
     if strategy == "rerun":

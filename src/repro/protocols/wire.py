@@ -11,6 +11,10 @@ accounting measures what the model measures.  Each format has exactly
 one encoding: the decoders refuse any field the encoders would refuse,
 and STORE indices must be strictly increasing, so a payload that decodes
 re-encodes to the same bits.
+
+The codec works on the payload's integer: the encoders shift each field
+into place, and one record parser reads each field off the payload's
+integer with a shift and a mask, checking it as it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Protocol
 
-from repro.bits import BitReader, BitWriter, Bits, bits_needed
+from repro.bits import Bits, bits_needed
 
 __all__ = [
     "MessageKind",
@@ -143,52 +147,104 @@ def _parse_records(
     # The memoized parse behind decode_records; the STORE dicts it keeps
     # are never handed out.
     layout = _layout(u, v, w)
-    reader = BitReader(payload)
+    value = payload.value
+    length = len(payload)
     records: list[tuple[MessageKind, object]] = []
-    while not reader.at_end():
-        kind = MessageKind(reader.read(_KIND_BITS))
-        if kind is MessageKind.STORE:
-            records.append((kind, _read_store(layout, reader)))
-        elif kind is MessageKind.FRONTIER:
-            records.append((kind, _read_frontier(layout, reader)))
-        else:
-            records.append((kind, None))
+    pos = 0
+    while pos < length:
+        kind, record, pos = _parse_record(layout, value, length, pos)
+        records.append((kind, record))
     return tuple(records)
 
 
-def _read_store(layout: _Layout, reader: BitReader) -> dict[int, Bits]:
-    v = layout.v
-    count = reader.read(layout.count_bits)
-    if count > v:
-        raise ValueError(f"STORE count {count} exceeds v={v}")
-    idx_bits = layout.piece_bits
-    u = layout.u
-    out: dict[int, Bits] = {}
-    prev = -1
-    for _ in range(count):
-        idx = reader.read(idx_bits)
-        if idx >= v:
-            raise ValueError(f"STORE index {idx} out of range for v={v}")
-        if idx <= prev:
-            raise ValueError(
-                f"STORE index {idx} follows index {prev}: indices must be "
-                "strictly increasing"
-            )
-        out[idx] = reader.read_bits(u)
-        prev = idx
-    return out
+#: The kinds by tag; tag 3 is not a kind.
+_KINDS = (MessageKind.STORE, MessageKind.FRONTIER, MessageKind.DONE)
 
 
-def _read_frontier(layout: _Layout, reader: BitReader) -> Frontier:
-    node = reader.read(layout.node_bits)
-    if node > layout.w:
-        raise ValueError(f"FRONTIER node {node} out of range for w={layout.w}")
-    pointer = reader.read(layout.piece_bits)
-    if pointer >= layout.v:
-        raise ValueError(
-            f"FRONTIER pointer {pointer} out of range for v={layout.v}"
+def _field(value: int, length: int, pos: int, width: int) -> int:
+    """The ``width``-bit field at bit ``pos`` of a ``length``-bit payload
+    whose integer is ``value``; ``EOFError`` if it runs past the end."""
+    end = pos + width
+    if end > length:
+        raise EOFError(
+            f"read of {width} bits at position {pos} overruns "
+            f"stream of length {length}"
         )
-    return Frontier(node, pointer, reader.read_bits(layout.u))
+    return (value >> (length - end)) & ((1 << width) - 1)
+
+
+def _parse_record(
+    layout: _Layout,
+    value: int,
+    length: int,
+    pos: int,
+    expect: MessageKind | None = None,
+) -> tuple[MessageKind, object, int]:
+    """The record at bit ``pos`` of a ``length``-bit payload whose
+    integer is ``value``: ``(kind, record, end position)``.
+
+    Fields are read in order and each is checked as it is read, so the
+    first bad field decides the error.  With ``expect``, any other kind
+    is refused right after the tag.
+    """
+    tag = _field(value, length, pos, _KIND_BITS)
+    kind = _KINDS[tag] if tag < len(_KINDS) else MessageKind(tag)
+    if expect is not None and kind is not expect:
+        raise ValueError(f"expected {expect.name} message, got {kind.name}")
+    pos += _KIND_BITS
+    u = layout.u
+    v = layout.v
+    if kind is MessageKind.FRONTIER:
+        node = _field(value, length, pos, layout.node_bits)
+        if node > layout.w:
+            raise ValueError(
+                f"FRONTIER node {node} out of range for w={layout.w}"
+            )
+        pos += layout.node_bits
+        pointer = _field(value, length, pos, layout.piece_bits)
+        if pointer >= v:
+            raise ValueError(
+                f"FRONTIER pointer {pointer} out of range for v={v}"
+            )
+        pos += layout.piece_bits
+        r = Bits._make(_field(value, length, pos, u), u)
+        return kind, Frontier(node, pointer, r), pos + u
+    if kind is MessageKind.STORE:
+        count = _field(value, length, pos, layout.count_bits)
+        if count > v:
+            raise ValueError(f"STORE count {count} exceeds v={v}")
+        pos += layout.count_bits
+        idx_bits = layout.piece_bits
+        out: dict[int, Bits] = {}
+        prev = -1
+        for _ in range(count):
+            idx = _field(value, length, pos, idx_bits)
+            if idx >= v:
+                raise ValueError(f"STORE index {idx} out of range for v={v}")
+            if idx <= prev:
+                raise ValueError(
+                    f"STORE index {idx} follows index {prev}: indices must "
+                    "be strictly increasing"
+                )
+            pos += idx_bits
+            out[idx] = Bits._make(_field(value, length, pos, u), u)
+            pos += u
+            prev = idx
+        return kind, out, pos
+    return kind, None, pos
+
+
+def _parse_message(
+    params: _ChainParams, message: Bits, kind: MessageKind
+) -> object:
+    """The one record of kind ``kind`` that ``message`` must be."""
+    length = len(message)
+    _, record, end = _parse_record(
+        _layout_of(params), message.value, length, 0, kind
+    )
+    if end != length:
+        raise ValueError(f"trailing bits after {kind.name} payload")
+    return record
 
 
 def encode_store(params: _ChainParams, pieces: Iterable[tuple[int, Bits]]) -> Bits:
@@ -196,39 +252,33 @@ def encode_store(params: _ChainParams, pieces: Iterable[tuple[int, Bits]]) -> Bi
     index order, as a STORE message."""
     layout = _layout_of(params)
     items = list(pieces)
-    w = BitWriter()
-    w.write(MessageKind.STORE, _KIND_BITS)
-    w.write(len(items), layout.count_bits)
+    count_bits = layout.count_bits
+    count = len(items)
+    if count.bit_length() > count_bits:
+        raise ValueError(f"value {count} does not fit in {count_bits} bits")
+    v = params.v
+    u = params.u
     idx_bits = layout.piece_bits
+    acc = (MessageKind.STORE << count_bits) | count
     prev = -1
     for idx, value in items:
-        if not 0 <= idx < params.v:
-            raise ValueError(f"piece index {idx} out of range for v={params.v}")
+        if not 0 <= idx < v:
+            raise ValueError(f"piece index {idx} out of range for v={v}")
         if idx <= prev:
             raise ValueError(
                 f"piece index {idx} follows index {prev}: indices must be "
                 "strictly increasing"
             )
         prev = idx
-        if len(value) != params.u:
-            raise ValueError(
-                f"piece has {len(value)} bits, expected u={params.u}"
-            )
-        w.write(idx, idx_bits)
-        w.write_bits(value)
-    return w.getvalue()
+        if len(value) != u:
+            raise ValueError(f"piece has {len(value)} bits, expected u={u}")
+        acc = (((acc << idx_bits) | idx) << u) | value.value
+    return Bits._make(acc, _KIND_BITS + count_bits + count * (idx_bits + u))
 
 
 def decode_store(params: _ChainParams, message: Bits) -> dict[int, Bits]:
     """Inverse of :func:`encode_store`; returns ``{index: value}``."""
-    r = BitReader(message)
-    kind = MessageKind(r.read(_KIND_BITS))
-    if kind is not MessageKind.STORE:
-        raise ValueError(f"expected STORE message, got {kind.name}")
-    out = _read_store(_layout_of(params), r)
-    if not r.at_end():
-        raise ValueError("trailing bits after STORE payload")
-    return out
+    return _parse_message(params, message, MessageKind.STORE)
 
 
 def encode_frontier(params: _ChainParams, frontier: Frontier) -> Bits:
@@ -239,27 +289,20 @@ def encode_frontier(params: _ChainParams, frontier: Frontier) -> Bits:
         raise ValueError(
             f"pointer {frontier.pointer} out of range for v={params.v}"
         )
-    if len(frontier.r) != params.u:
-        raise ValueError(f"r has {len(frontier.r)} bits, expected u={params.u}")
+    u = params.u
+    if len(frontier.r) != u:
+        raise ValueError(f"r has {len(frontier.r)} bits, expected u={u}")
     layout = _layout_of(params)
-    w = BitWriter()
-    w.write(MessageKind.FRONTIER, _KIND_BITS)
-    w.write(frontier.node, layout.node_bits)
-    w.write(frontier.pointer, layout.piece_bits)
-    w.write_bits(frontier.r)
-    return w.getvalue()
+    node_bits = layout.node_bits
+    piece_bits = layout.piece_bits
+    acc = (MessageKind.FRONTIER << node_bits) | frontier.node
+    acc = (((acc << piece_bits) | frontier.pointer) << u) | frontier.r.value
+    return Bits._make(acc, _KIND_BITS + node_bits + piece_bits + u)
 
 
 def decode_frontier(params: _ChainParams, message: Bits) -> Frontier:
     """Inverse of :func:`encode_frontier`."""
-    r = BitReader(message)
-    kind = MessageKind(r.read(_KIND_BITS))
-    if kind is not MessageKind.FRONTIER:
-        raise ValueError(f"expected FRONTIER message, got {kind.name}")
-    frontier = _read_frontier(_layout_of(params), r)
-    if not r.at_end():
-        raise ValueError("trailing bits after FRONTIER payload")
-    return frontier
+    return _parse_message(params, message, MessageKind.FRONTIER)
 
 
 def encode_done() -> Bits:

@@ -1,14 +1,20 @@
 """Tests for the round-budget success measurement and Remark 2.3."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import Bits
 from repro.functions import LineParams, evaluate_line, sample_input
 from repro.mpc import Machine, MPCParams, MPCSimulator, RoundContext, RoundOutput
 from repro.mpc.correctness import (
+    BudgetedRun,
     estimate_success_probability,
     run_with_budget,
+    run_with_budgets,
 )
 from repro.mpc.derandomize import (
     DerandomizedMachine,
@@ -77,6 +83,98 @@ class TestEstimateSuccessProbability:
         with pytest.raises(ValueError):
             estimate_success_probability(self.sample, budgets=[1], trials=0)
 
+    @pytest.mark.parametrize(
+        "budgets, message",
+        [
+            ([60, 60], r"distinct, got \[60\] more than once"),
+            ([20, 5, 20, 5], r"distinct, got \[5, 20\] more than once"),
+            ([0], "positive, got 0"),
+            ([20, -3], "positive, got -3"),
+        ],
+    )
+    def test_bad_budgets_rejected_before_sampling(self, budgets, message):
+        """A repeated budget used to count each trial's success once per
+        occurrence (a rate of 2.0); both it and a non-positive budget
+        are refused before any instance is built."""
+        sampled = []
+
+        def sample(seed):
+            sampled.append(seed)
+            return self.sample(seed)
+
+        with pytest.raises(ValueError, match=message):
+            estimate_success_probability(sample, budgets=budgets, trials=5)
+        assert sampled == []
+
+
+class OutputsTwice(Machine):
+    """Outputs A at round 1 and B at round 3, and halts at round 5."""
+
+    A = Bits(0b01, 2)
+    B = Bits(0b10, 2)
+
+    def run_round(self, ctx: RoundContext) -> RoundOutput:
+        output = {1: self.A, 3: self.B}.get(ctx.round)
+        return RoundOutput(output=output, halt=ctx.round == 5)
+
+
+class TestBudgetSweep:
+    """One run to the largest budget answers every smaller cut."""
+
+    def test_a_cut_sees_the_outputs_logged_before_it(self):
+        params = MPCParams(m=1, s_bits=8, max_rounds=10)
+        result = MPCSimulator(params, [OutputsTwice()]).run([Bits(0, 0)])
+        assert result.rounds == 6 and result.halted
+        assert result.output_log == (
+            (1, 0, OutputsTwice.A),
+            (3, 0, OutputsTwice.B),
+        )
+        assert result.outputs_at(1) == {}
+        assert result.outputs_at(2) == {0: OutputsTwice.A}
+        assert result.outputs_at(4) == {0: OutputsTwice.B}
+        assert result.outputs_at(50) == result.outputs
+        runs = run_with_budgets(
+            params, [OutputsTwice()], [Bits(0, 0)], None,
+            budgets=[4, 2, 9], expected_output=OutputsTwice.A,
+        )
+        assert runs == [
+            BudgetedRun(4, False, 4),
+            BudgetedRun(2, True, 2),
+            BudgetedRun(9, False, 6),
+        ]
+
+    def test_a_cut_past_an_unhalted_run_is_refused(self):
+        params = MPCParams(m=1, s_bits=8, max_rounds=3)
+        result = MPCSimulator(params, [OutputsTwice()]).run([Bits(0, 0)])
+        assert not result.halted
+        assert result.outputs_at(3) == {0: OutputsTwice.A}
+        with pytest.raises(ValueError, match="without halting"):
+            result.outputs_at(4)
+        with pytest.raises(ValueError, match="positive"):
+            result.outputs_at(0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        w=st.integers(4, 40),
+        budgets=st.lists(st.integers(1, 110), min_size=1, max_size=6, unique=True),
+    )
+    def test_equals_a_separate_run_per_budget(self, seed, w, budgets):
+        """Budgets below and past the halt round alike."""
+        setup, oracle, expected = make_instance(seed, w=w)
+        sweep = run_with_budgets(
+            setup.mpc_params, setup.machines, setup.initial_memories, oracle,
+            budgets=budgets, expected_output=expected,
+        )
+        for run, budget in zip(sweep, budgets, strict=True):
+            capped = replace(setup.mpc_params, max_rounds=budget)
+            result = MPCSimulator(capped, setup.machines, oracle=oracle).run(
+                list(setup.initial_memories)
+            )
+            assert run == BudgetedRun(
+                budget, expected in result.outputs.values(), result.rounds
+            )
+
 
 class TestWorstCaseSuccess:
     """Definition 2.4: min over inputs of the oracle-success rate."""
@@ -122,6 +220,21 @@ class TestWorstCaseSuccess:
                 self.sample_for_input, num_inputs=0, budget=5,
                 trials_per_input=1,
             )
+
+    def test_non_positive_budget_rejected_before_sampling(self):
+        from repro.mpc import estimate_worst_case_success
+
+        sampled = []
+
+        def sample_for_input(input_index, oracle_seed):
+            sampled.append(input_index)
+            return self.sample_for_input(input_index, oracle_seed)
+
+        with pytest.raises(ValueError, match="positive, got 0"):
+            estimate_worst_case_success(
+                sample_for_input, num_inputs=2, budget=0, trials_per_input=1,
+            )
+        assert sampled == []
 
 
 class TestOracleSplit:

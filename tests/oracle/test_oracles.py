@@ -423,3 +423,58 @@ class TestHashOracle:
         with pytest.raises(ValueError, match=r"b'void'.*empty digest.*n_out=8"):
             ro.query(Bits(0, 8))
         assert len(calls) == 1
+
+
+def _memo_free_answer(x: int, n_in: int, n_out: int, label: bytes) -> int:
+    """The counter-mode answer, hashed afresh."""
+    material = label + x.to_bytes((n_in + 7) // 8 or 1, "big")
+    out_bytes = (n_out + 7) // 8
+    digest = b""
+    counter = 0
+    while len(digest) < out_bytes:
+        digest += sha256(material + counter.to_bytes(4, "big"))
+        counter += 1
+    return int.from_bytes(digest[:out_bytes], "big") >> (8 * out_bytes - n_out)
+
+
+class TestHashOracleMemo:
+    """Each distinct query is hashed once; the counters count hashes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_in=st.integers(1, 40),
+        n_out=st.integers(1, 600),
+        data=st.data(),
+    )
+    def test_repeats_cost_nothing(self, n_in, n_out, data):
+        keys = data.draw(
+            st.lists(st.integers(0, (1 << n_in) - 1), min_size=1, max_size=12)
+        )
+        queries = keys + data.draw(st.permutations(keys))
+        ro = HashOracle(sha256, n_in, n_out, label=b"m")
+        per_query = -(-((n_out + 7) // 8) // 32)  # digests per answer
+        material = 1 + ((n_in + 7) // 8 or 1) + 4  # label, key, counter
+        seen: set[int] = set()
+        for x in queries:
+            calls, hashed = ro.hash_calls, ro.bytes_hashed
+            answer = ro.query(Bits(x, n_in))
+            assert answer == Bits(_memo_free_answer(x, n_in, n_out, b"m"), n_out)
+            if x in seen:
+                assert (ro.hash_calls, ro.bytes_hashed) == (calls, hashed)
+            else:
+                assert ro.hash_calls == calls + per_query
+                assert ro.bytes_hashed == hashed + per_query * material
+            seen.add(x)
+        assert ro.cache_size() == len(seen)
+
+    def test_pickle_drops_the_memo_and_keeps_the_function(self):
+        ro = HashOracle(sha256, 16, 16, label=b"p")
+        answers = [ro.query(Bits(x, 16)) for x in range(8)]
+        clone = pickle.loads(pickle.dumps(ro))
+        assert clone.cache_size() == 0
+        assert clone.hash_calls == ro.hash_calls == 8
+        assert [clone.query(Bits(x, 16)) for x in range(8)] == answers
+        assert clone.hash_calls == 16
+        ro.clear_cache()
+        assert ro.cache_size() == 0
+        assert ro.query(Bits(3, 16)) == answers[3]

@@ -62,3 +62,21 @@ def test_zero_bits_draw_nothing():
 def test_out_of_range_widths_raise(k):
     with pytest.raises(ValueError):
         uniform_bits(np.random.default_rng(0), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+    widths=st.lists(st.integers(0, 64), min_size=1, max_size=40),
+)
+def test_two_generators_alternating_draw_by_draw(seeds, widths):
+    """Each draw comes from its own generator's state, although every
+    draw follows one from the other generator."""
+    ours = [np.random.default_rng(seed) for seed in seeds]
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    for step, k in enumerate(widths):
+        which = step % 2
+        want = int(refs[which].integers(0, 1 << k, dtype=np.uint64))
+        assert uniform_bits(ours[which], k) == want, (step, k)
+    for rng, ref in zip(ours, refs):
+        assert rng.bit_generator.state == ref.bit_generator.state
