@@ -5,7 +5,7 @@ The observability roots (:mod:`repro.obs`, :mod:`repro.telemetry`,
 eager ``from .x import ...`` lines, importing the root imports all of
 them, and Python imports the root before any submodule: the
 ``from repro.obs.tracer import get_tracer`` line in the round engine
-would load the SQLite index, the HTML report and the sympy ledgers.
+would load the SQLite registry, the monitors and the sympy ledgers.
 :func:`lazy_exports` gives a root a PEP 562 module ``__getattr__``
 instead, so each ``from repro.obs import X`` imports the submodule
 that defines ``X`` on its first use.

@@ -6,7 +6,6 @@
     python -m repro run E-LINE [--scale full] [--strict-bounds] [--jobs N]
     python -m repro run-all [--scale quick] [--json] [--jobs N]
     python -m repro report [--scale quick] [--output EXPERIMENTS.md]
-    python -m repro report trace.jsonl -o report.html [--format chrome-json]
     python -m repro trace E-LINE [--trace-out t.jsonl] [--strict-bounds]
     python -m repro profile E-LINE [--cprofile-span mpc.round] [--memory]
     python -m repro trace-diff a.jsonl b.jsonl [--context K] [--json]
@@ -18,11 +17,8 @@
     python -m repro runs compare <a> <b>
     python -m repro runs gc --keep-last 50 [--before 2026-01-01]
 
-``report`` with no positional argument regenerates the paper-vs-measured
-record (the markdown committed to ``EXPERIMENTS.md``).  Given a JSONL
-trace file it instead renders that trace as a self-contained static
-HTML report (``--format html``, default) or as Chrome trace-event JSON
-(``--format chrome-json``) that opens in ``ui.perfetto.dev``.
+``report`` regenerates the paper-vs-measured record (the markdown
+committed to ``EXPERIMENTS.md``).
 
 ``trace`` runs one experiment under a recording tracer and prints the
 span/event summary plus aggregated metrics (per-round latency, message
@@ -105,9 +101,9 @@ from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.parallel import TrialPool, resolve_jobs, use_jobs
 from repro.telemetry.config import resolve_telemetry, use_telemetry
 
-# The rest of the observability stack (the SQLite registry and index,
-# the monitors, the sympy cost models) is imported inside the commands
-# that use it, so `repro list` and an untraced `repro run` skip it.
+# The rest of the observability stack (the SQLite registry, the
+# monitors, the sympy cost models) is imported inside the commands that
+# use it, so `repro list` and an untraced `repro run` skip it.
 
 __all__ = ["main", "build_report"]
 
@@ -475,7 +471,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if sink is not None:
         print(f"trace: {sink.written} records -> {trace_out}", file=sys.stderr)
         sink.close()
-        _auto_index(trace_out)
     if args.strict_bounds:
         print(f"strict-bounds: {len(monitor.violations)} violations",
               file=sys.stderr)
@@ -735,7 +730,11 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
     from repro.obs import RunRegistry
 
     with RunRegistry.open(args.registry) as registry:
-        removed = registry.gc(keep_last=args.keep_last, before=args.before)
+        try:
+            removed = registry.gc(keep_last=args.keep_last, before=args.before)
+        except ValueError as exc:
+            print(f"runs gc: {exc}", file=sys.stderr)
+            return 2
         remaining = registry.count()
     print(f"runs gc: removed {removed} row(s), {remaining} remain")
     return 0
@@ -790,10 +789,10 @@ def _stream_trace_or_exit(path: str):
     """Validate ``path`` as a non-empty JSONL trace; None means exit 2.
 
     Returns a zero-arg callable yielding a fresh streaming iteration
-    (:func:`repro.obs.iter_trace_records`), so consumers -- the trace
-    diff, the cost oracle, the forensics index -- never hold a whole
-    trace in memory.  The validation itself only reads the first
-    record; a format error *later* in the file still surfaces as a
+    (:func:`repro.obs.iter_trace_records`), so its consumers -- the
+    trace diff and the cost oracle -- never hold a whole trace in
+    memory.  The validation itself only reads the first record; a
+    format error *later* in the file still surfaces as a
     :class:`TraceFormatError` from the consumer (callers wrap their
     consumption in :func:`_trace_error`).
     """
@@ -818,127 +817,7 @@ def _trace_error(exc: TraceFormatError) -> int:
     return 2
 
 
-def _auto_index(trace_path: str) -> None:
-    """Index a just-written ``--trace-out`` file (best-effort).
-
-    ``REPRO_AUTOINDEX=0`` opts out; a failure to index never fails the
-    run that produced the trace.
-    """
-    if os.environ.get("REPRO_AUTOINDEX", "").strip().lower() in (
-        "0", "false", "off", "no"
-    ):
-        return
-    from repro.obs import build_index
-
-    try:
-        index = build_index(trace_path)
-    except Exception as exc:  # noqa: BLE001 - advisory by design
-        print(f"index: skipped ({exc})", file=sys.stderr)
-        return
-    print(
-        f"index: {index.records} records -> {index.path}", file=sys.stderr
-    )
-    index.close()
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.obs import TraceFormatError, build_index
-
-    if _stream_trace_or_exit(args.trace) is None:
-        return 2
-    try:
-        index = build_index(args.trace, args.output)
-    except TraceFormatError as exc:
-        return _trace_error(exc)
-    print(f"indexed {index.records} records -> {index.path}")
-    index.close()
-    return 0
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        QueryError,
-        TraceFormatError,
-        ensure_index,
-        parse_query,
-        render_result,
-        run_query,
-    )
-
-    if _stream_trace_or_exit(args.trace) is None:
-        return 2
-    try:
-        query = parse_query(args.query)
-    except QueryError as exc:
-        print(f"query: {exc}", file=sys.stderr)
-        return 2
-    try:
-        index = ensure_index(args.trace)
-    except TraceFormatError as exc:
-        return _trace_error(exc)
-    try:
-        result = run_query(index, query)
-    finally:
-        index.close()
-    if args.json:
-        print(json.dumps({
-            "columns": result.columns,
-            "rows": [list(row) for row in result.rows],
-            "truncated": result.truncated,
-        }, indent=2))
-    else:
-        print(render_result(result))
-    return 0
-
-
-def _cmd_why(args: argparse.Namespace) -> int:
-    from repro.obs import TraceFormatError, render_triage, triage_file
-
-    if _stream_trace_or_exit(args.trace) is None:
-        return 2
-    try:
-        anomalies = triage_file(args.trace)
-    except TraceFormatError as exc:
-        return _trace_error(exc)
-    if args.json:
-        print(json.dumps([a.to_dict() for a in anomalies], indent=2))
-    else:
-        print(render_triage(anomalies))
-    return 1 if anomalies else 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.trace is not None:
-        from repro.obs import (
-            TraceFormatError,
-            read_jsonl,
-            write_chrome_trace,
-            write_html_report,
-        )
-
-        try:
-            records = read_jsonl(args.trace)
-        except OSError as exc:
-            print(f"cannot read trace: {exc}", file=sys.stderr)
-            return 2
-        except TraceFormatError as exc:
-            return _trace_error(exc)
-        if not records:
-            print(f"no trace records in {args.trace}", file=sys.stderr)
-            return 2
-        if args.format == "chrome-json":
-            out = args.output or "trace.chrome.json"
-            count = write_chrome_trace(records, out)
-            print(f"wrote {out} ({count} events; open in ui.perfetto.dev)")
-        else:
-            out = args.output or "report.html"
-            size = write_html_report(records, out)
-            print(f"wrote {out} ({size} bytes, self-contained)")
-        return 0
-    if args.format != "html":
-        print("--format applies only to trace reports "
-              "(repro report <trace.jsonl>)", file=sys.stderr)
-        return 2
     report = build_report(scale=args.scale)
     if args.output:
         with open(args.output, "w") as fh:
@@ -1317,7 +1196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="restrict to one experiment",
     )
     rlist_p.add_argument(
-        "-n", "--limit", type=int, default=30, metavar="N",
+        "-n", "--limit", type=_non_negative_int, default=30, metavar="N",
         help="show at most N rows (default 30)",
     )
     rlist_p.add_argument(
@@ -1354,33 +1233,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     rgc_p.add_argument(
         "--before", default=None, metavar="ISO_TS",
-        help="also drop rows older than this ISO-8601 UTC timestamp",
+        help="also drop rows older than this ISO-8601 date or timestamp "
+        "(UTC unless it names an offset)",
     )
     _add_registry_flag(rgc_p)
     rgc_p.set_defaults(fn=_cmd_runs_gc)
 
-    rep_p = sub.add_parser(
-        "report",
-        help="emit the EXPERIMENTS.md record, or render a JSONL trace "
-        "as HTML / Chrome-trace JSON",
-    )
-    rep_p.add_argument(
-        "trace",
-        nargs="?",
-        default=None,
-        metavar="TRACE_JSONL",
-        help="a JSONL trace file; when given, render it instead of "
-        "regenerating EXPERIMENTS.md",
-    )
+    rep_p = sub.add_parser("report", help="emit the EXPERIMENTS.md record")
     rep_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     rep_p.add_argument("--output", "-o", default=None)
-    rep_p.add_argument(
-        "--format",
-        choices=("html", "chrome-json"),
-        default="html",
-        help="trace-report format: self-contained HTML (default) or "
-        "Chrome trace-event JSON for ui.perfetto.dev",
-    )
     _add_trace_out(rep_p, on_sub=True)
     rep_p.set_defaults(fn=_cmd_report)
 
@@ -1390,7 +1251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     prof_p.add_argument("experiment", choices=sorted(DESCRIPTIONS))
     prof_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     prof_p.add_argument(
-        "--top", type=int, default=None, metavar="N",
+        "--top", type=_non_negative_int, default=None, metavar="N",
         help="limit the hotspot (and cProfile) tables to N rows",
     )
     prof_p.add_argument(
@@ -1431,48 +1292,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     diff_p.set_defaults(fn=_cmd_trace_diff)
-
-    idx_p = sub.add_parser(
-        "index",
-        help="build the columnar SQLite index for a JSONL trace "
-        "(queries run against the index, never the JSONL)",
-    )
-    idx_p.add_argument("trace", metavar="TRACE_JSONL", help="trace to index")
-    idx_p.add_argument(
-        "--output", "-o", default=None, metavar="PATH",
-        help="index file to write (default: <trace>.idx next to the trace)",
-    )
-    idx_p.set_defaults(fn=_cmd_index)
-
-    qry_p = sub.add_parser(
-        "query",
-        help="filter/aggregate an indexed trace, e.g. "
-        "'name=oracle.query machine=3 round>=5 | count by round'",
-    )
-    qry_p.add_argument("trace", metavar="TRACE_JSONL", help="trace to query")
-    qry_p.add_argument(
-        "query",
-        metavar="QUERY",
-        help="predicates, optionally piped to count/sum/mean/min/max "
-        "[by FIELDS], show FIELDS [limit N], or timeline (see "
-        "docs/OBSERVABILITY.md, 'Trace forensics')",
-    )
-    qry_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    qry_p.set_defaults(fn=_cmd_query)
-
-    why_p = sub.add_parser(
-        "why",
-        help="triage a trace's anomalies: link every monitor.violation "
-        "and cost.mismatch to its span chain and nearest counter deltas "
-        "(exit 1 when any exist)",
-    )
-    why_p.add_argument("trace", metavar="TRACE_JSONL", help="trace to triage")
-    why_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    why_p.set_defaults(fn=_cmd_why)
 
     trc_p = sub.add_parser(
         "trace", help="run one experiment under the recording tracer"
@@ -1558,11 +1377,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"trace: {sink.written} records -> {trace_out}",
                     file=sys.stderr,
                 )
-            _auto_index(trace_out)
             return code
         return args.fn(args)
     except BrokenPipeError:
-        # Downstream closed the pipe (repro query ... | head); exit
+        # Downstream closed the pipe (repro runs list | head); exit
         # quietly instead of dumping a traceback, reopening stdout on
         # /dev/null so interpreter teardown does not re-raise EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -27,7 +27,7 @@ Layers:
   and emitting ``cost.predicted`` / ``cost.mismatch`` events;
 * :mod:`repro.costmodel.ledger`   -- rendering: formula listings
   (pretty / LaTeX), numeric evaluation tables, predicted-vs-measured
-  ledgers for the CLI and the HTML report.
+  ledgers for the CLI.
 
 See docs/OBSERVABILITY.md ("Cost-model oracle") and docs/PAPER_MAP.md
 (formula cross-reference).
@@ -50,12 +50,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "backend": ("CostModelUnavailable", "available", "require_sympy"),
     "formulas": ("CostEntry", "CostEvalError", "CostModel", "CounterFormula"),
-    "ledger": (
-        "eval_table",
-        "ledger_from_records",
-        "render_formulas",
-        "render_ledger",
-    ),
+    "ledger": ("eval_table", "render_formulas", "render_ledger"),
     "models": (
         "all_models",
         "cost_model_for",

@@ -5,10 +5,8 @@ Three audiences:
 * ``repro cost show``  -- :func:`render_formulas` (plain or LaTeX);
 * ``repro cost eval``  -- :func:`eval_table`, a numeric table of every
   formula at concrete bindings;
-* ``repro cost check`` / the HTML report -- :func:`ledger_from_records`
-  parses ``cost.predicted`` events back out of a trace and
-  :func:`render_ledger` prints the predicted-vs-measured table with
-  drift called out.
+* ``repro cost check`` / ``repro trace`` -- :func:`render_ledger`
+  prints the predicted-vs-measured table with drift called out.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.costmodel.formulas import CostModel
 __all__ = [
     "render_formulas",
     "eval_table",
-    "ledger_from_records",
     "render_ledger",
 ]
 
@@ -97,24 +94,6 @@ def eval_table(model: CostModel, bindings: dict) -> str:
         rows,
         title=f"{model.model_id} @ {binding_str}",
     )
-
-
-def ledger_from_records(records) -> list[dict]:
-    """Extract the ``cost.predicted`` ledgers from trace records.
-
-    Accepts live :class:`~repro.obs.TraceRecord` objects or their JSONL
-    dict form; returns the event attrs (model, status, params, entries).
-    """
-    ledgers = []
-    for record in records:
-        if isinstance(record, dict):
-            kind, name = record.get("kind"), record.get("name")
-            attrs = record.get("attrs", {}) or {}
-        else:
-            kind, name, attrs = record.kind, record.name, record.attrs or {}
-        if kind == "event" and name == "cost.predicted":
-            ledgers.append(attrs)
-    return ledgers
 
 
 def render_ledger(ledgers: list[dict], *, title: str = "") -> str:

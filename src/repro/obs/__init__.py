@@ -21,18 +21,12 @@ and a reading guide):
 * :mod:`repro.obs.profile` -- :class:`SpanProfiler` hotspot self/cum
   times, span-scoped ``cProfile``, per-round ``tracemalloc`` peaks
   (``repro profile``);
-* :mod:`repro.obs.analysis` -- communication matrices, critical path,
-  and oracle-query locality;
-* :mod:`repro.obs.report` -- the self-contained HTML report and the
-  Chrome/Perfetto trace export (``repro report <trace.jsonl>``);
-* :mod:`repro.obs.forensics` -- the columnar SQLite trace index
-  (``repro index``), the record-by-record trace comparison
-  (``repro trace-diff``), and anomaly triage (``repro why``);
+* :mod:`repro.obs.forensics` -- the record-by-record trace comparison
+  (``repro trace-diff``) and the causal window around its first
+  diverging record;
 * :mod:`repro.obs.schema` -- every record name and its attrs, each
   marked model data or volatile: the one definition of what the
   determinism checks compare;
-* :mod:`repro.obs.query` -- the filter/aggregate query language over
-  an indexed trace (``repro query``);
 * :mod:`repro.obs.registry` -- :class:`RunRegistry`, the append-only
   SQLite store of every experiment run (auto-recorded by ``repro
   run``/``run-all``, ``--registry PATH`` / ``REPRO_REGISTRY``);
@@ -58,21 +52,12 @@ an untraced run loads no other part of the package.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "analysis": (
-        "CommMatrix",
-        "CriticalStep",
-        "LocalityReport",
-        "communication_matrix",
-        "critical_path",
-        "query_locality",
-    ),
     "convergence": (
         "ConvergenceMonitor",
         "EstimateStats",
         "WelfordAccumulator",
         "WilsonAccumulator",
         "attach_estimates",
-        "estimates_from_records",
     ),
     "exporters": (
         "JsonlExporter",
@@ -84,28 +69,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "write_jsonl",
     ),
     "forensics": (
-        "Anomaly",
         "CausalContext",
         "Divergence",
-        "TraceIndex",
-        "build_index",
         "causal_context",
         "counter_drifts",
-        "ensure_index",
         "explain_divergence",
         "explain_trace_files",
         "render_divergence",
-        "render_triage",
-        "triage",
-        "triage_file",
-    ),
-    "query": (
-        "Query",
-        "QueryError",
-        "QueryResult",
-        "parse_query",
-        "render_result",
-        "run_query",
     ),
     "history": ("RunComparison", "compare_runs", "render_runs_table"),
     "metrics": (
@@ -130,12 +100,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "default_registry_path",
         "deterministic_metrics",
         "git_sha",
-    ),
-    "report": (
-        "chrome_trace_events",
-        "render_html",
-        "write_chrome_trace",
-        "write_html_report",
     ),
     "tracer": (
         "NULL_TRACER",

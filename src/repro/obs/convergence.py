@@ -50,7 +50,6 @@ __all__ = [
     "EstimateStats",
     "ConvergenceMonitor",
     "attach_estimates",
-    "estimates_from_records",
 ]
 
 
@@ -319,19 +318,6 @@ class ConvergenceMonitor:
                 )
             lines.append(line)
         return "\n".join(lines)
-
-
-def estimates_from_records(records) -> ConvergenceMonitor:
-    """Replay a recorded stream through a fresh monitor (offline use).
-
-    The HTML report builds its estimates section this way: the same
-    accumulators, fed from the ``trial.result`` events a trace already
-    holds.
-    """
-    monitor = ConvergenceMonitor()
-    for record in records:
-        monitor(record)
-    return monitor
 
 
 def attach_estimates(

@@ -182,11 +182,10 @@ def _record_of_row(row: object, path: str, line_no: int) -> TraceRecord:
 def iter_trace_records(path: str) -> Iterator[TraceRecord]:
     """Stream a JSONL trace as :class:`TraceRecord` objects, lazily.
 
-    The one loading path every offline consumer shares (``repro
-    report``, ``trace-diff``, ``cost check --trace``, the forensics
-    index): records are yielded one line at a time, so a
-    multi-hundred-MB trace never has to fit in memory unless the
-    caller materializes it.
+    The one loading path every offline consumer shares
+    (``trace-diff``, ``cost check --trace``): records are yielded one
+    line at a time, so a multi-hundred-MB trace never has to fit in
+    memory unless the caller materializes it.
 
     Crash tolerance: a run killed between the exporter's write and its
     flush can leave a *truncated final line*.  That line is skipped

@@ -1,28 +1,19 @@
-"""Trace forensics: the *where and why* behind a failed gate.
+"""Trace forensics: where two traces first diverge, and why.
 
-Every gate in the reproduction -- ``trace-diff`` drift, a monitor
-:class:`~repro.obs.monitor.Violation`, a ``cost.mismatch`` -- reduces
-to exact event counters, and until now each could only say *that*
-something diverged.  This module answers *where and why*:
+``repro trace-diff`` compares two record streams record by record.
+This module finds and explains the first record where they disagree:
 
-* :func:`build_index` / :class:`TraceIndex` -- a columnar SQLite index
-  over a JSONL trace (``repro index``), with hot attrs (``machine``,
-  ``round``, ``messages``, ...) promoted to real columns and the rest
-  reachable through ``json_extract``, so a multi-hundred-MB trace is
-  queryable without ever loading the JSONL into memory;
-* :func:`explain_divergence` -- the record-by-record comparison behind
-  ``repro trace-diff``: two record streams in lockstep up to the
-  **first diverging record**, classified as extra / missing / changed
-  and localized to a machine and round, with :func:`counter_drifts`
-  as context;
+* :func:`explain_divergence` -- two record streams in lockstep up to
+  the **first diverging record**, classified as extra / missing /
+  changed and localized to a machine and round;
 * :func:`causal_context` -- the ±k window around a divergence: the
   enclosing span chain (experiment > mpc.run > mpc.round), the last
   records on the same machine, and the messages in flight into that
   machine from the previous round;
-* :func:`triage` -- one pass linking every ``monitor.violation`` and
-  ``cost.mismatch`` to its causal span chain and the nearest preceding
-  per-round counter deltas (``repro why``, and the report's
-  "Forensics" section).
+* :func:`counter_drifts` -- how far the counter fingerprint moved,
+  printed as context;
+* :func:`explain_trace_files` / :func:`render_divergence` -- the
+  file-level entry point and the text block ``trace-diff`` prints.
 
 What is compared is declared once, in :mod:`repro.obs.schema`: host
 records (``telemetry.*``) are invisible to the comparison, so it never
@@ -35,8 +26,6 @@ only.
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -47,210 +36,15 @@ from repro.obs.schema import HOST_NAMES, model_attrs
 from repro.obs.tracer import TraceRecord
 
 __all__ = [
-    "ANOMALY_NAMES",
-    "Anomaly",
     "CausalContext",
     "Divergence",
-    "INDEX_SUFFIX",
-    "PROMOTED_ATTRS",
-    "SCHEMA_VERSION",
-    "TraceIndex",
-    "build_index",
     "canonical_identity",
     "causal_context",
     "counter_drifts",
-    "default_index_path",
-    "ensure_index",
     "explain_divergence",
     "explain_trace_files",
     "render_divergence",
-    "render_triage",
-    "triage",
-    "triage_file",
 ]
-
-#: The index lives next to its trace: ``trace.jsonl`` -> ``trace.jsonl.idx``.
-INDEX_SUFFIX = ".idx"
-
-#: Bumped whenever the ``records`` schema changes; a version mismatch
-#: makes :func:`ensure_index` rebuild instead of misreading old columns.
-SCHEMA_VERSION = 1
-
-#: Attrs promoted to real (indexed or at least typed) columns because
-#: nearly every forensic question filters or groups on them.  Everything
-#: else stays in the ``attrs`` JSON blob, reachable via ``json_extract``.
-PROMOTED_ATTRS = (
-    "machine",
-    "round",
-    "worker",
-    "trial",
-    "messages",
-    "message_bits",
-    "oracle_queries",
-)
-
-_SCHEMA = f"""
-CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE records (
-    seq INTEGER PRIMARY KEY,
-    kind TEXT NOT NULL,
-    name TEXT NOT NULL,
-    ts REAL NOT NULL,
-    dur REAL,
-    {", ".join(f"{c} INTEGER" for c in PROMOTED_ATTRS)},
-    attrs TEXT NOT NULL
-);
-CREATE INDEX ix_records_name ON records (name);
-CREATE INDEX ix_records_machine ON records (machine) WHERE machine IS NOT NULL;
-CREATE INDEX ix_records_round ON records (round) WHERE round IS NOT NULL;
-"""
-
-
-def default_index_path(trace_path: str) -> str:
-    """Where ``repro index`` puts the index for ``trace_path``."""
-    return trace_path + INDEX_SUFFIX
-
-
-def _source_stamp(trace_path: str) -> tuple[str, str]:
-    st = os.stat(trace_path)
-    return str(st.st_size), str(st.st_mtime_ns)
-
-
-def build_index(
-    trace_path: str,
-    index_path: str | None = None,
-    *,
-    batch: int = 2000,
-) -> "TraceIndex":
-    """Index a JSONL trace into SQLite, streaming one record at a time.
-
-    Rebuilds from scratch (the index is derived data; there is nothing
-    to merge).  Returns the opened :class:`TraceIndex`.
-    """
-    index_path = index_path or default_index_path(trace_path)
-    tmp = index_path + ".tmp"
-    if os.path.exists(tmp):
-        os.remove(tmp)
-    conn = sqlite3.connect(tmp)
-    try:
-        conn.executescript(_SCHEMA)
-        rows = []
-        count = 0
-        for seq, record in enumerate(iter_trace_records(trace_path)):
-            a = record.attrs
-            rows.append((
-                seq,
-                record.kind,
-                record.name,
-                record.ts,
-                record.dur,
-                *(a.get(c) for c in PROMOTED_ATTRS),
-                json.dumps(a, sort_keys=True, default=repr),
-            ))
-            count += 1
-            if len(rows) >= batch:
-                conn.executemany(_INSERT, rows)
-                rows.clear()
-        if rows:
-            conn.executemany(_INSERT, rows)
-        size, mtime_ns = _source_stamp(trace_path)
-        conn.executemany(
-            "INSERT INTO meta (key, value) VALUES (?, ?)",
-            [
-                ("schema_version", str(SCHEMA_VERSION)),
-                ("source", os.path.abspath(trace_path)),
-                ("source_size", size),
-                ("source_mtime_ns", mtime_ns),
-                ("records", str(count)),
-            ],
-        )
-        conn.commit()
-    finally:
-        conn.close()
-    os.replace(tmp, index_path)
-    return TraceIndex.open(index_path)
-
-
-_INSERT = (
-    "INSERT INTO records (seq, kind, name, ts, dur, "
-    + ", ".join(PROMOTED_ATTRS)
-    + ", attrs) VALUES ("
-    + ", ".join("?" * (6 + len(PROMOTED_ATTRS)))
-    + ")"
-)
-
-
-def ensure_index(trace_path: str, index_path: str | None = None) -> "TraceIndex":
-    """Open the index for ``trace_path``, (re)building if absent or stale.
-
-    Staleness is a source size/mtime mismatch or a schema-version bump:
-    the index is a cache of the JSONL, never an independent artifact.
-    """
-    index_path = index_path or default_index_path(trace_path)
-    if os.path.exists(index_path):
-        try:
-            index = TraceIndex.open(index_path)
-        except (sqlite3.Error, ValueError):
-            index = None
-        if index is not None:
-            meta = index.meta
-            size, mtime_ns = _source_stamp(trace_path)
-            if (
-                meta.get("schema_version") == str(SCHEMA_VERSION)
-                and meta.get("source_size") == size
-                and meta.get("source_mtime_ns") == mtime_ns
-            ):
-                return index
-            index.close()
-    return build_index(trace_path, index_path)
-
-
-class TraceIndex:
-    """An opened trace index; thin wrapper owning the SQLite connection."""
-
-    def __init__(self, path: str, conn: sqlite3.Connection) -> None:
-        self.path = path
-        self.conn = conn
-
-    @classmethod
-    def open(cls, path: str) -> "TraceIndex":
-        conn = sqlite3.connect(path)
-        try:
-            names = {
-                row[0] for row in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
-        except sqlite3.DatabaseError as exc:
-            conn.close()
-            raise ValueError(f"{path}: not a trace index: {exc}") from exc
-        if not {"meta", "records"} <= names:
-            conn.close()
-            raise ValueError(f"{path}: not a trace index (missing tables)")
-        return cls(path, conn)
-
-    @property
-    def meta(self) -> dict[str, str]:
-        return dict(self.conn.execute("SELECT key, value FROM meta"))
-
-    @property
-    def records(self) -> int:
-        """Number of indexed records."""
-        return int(self.meta.get("records", "0"))
-
-    def close(self) -> None:
-        self.conn.close()
-
-    def __enter__(self) -> "TraceIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------------
-# Record-by-record comparison
-# --------------------------------------------------------------------------
 
 #: How far past a mismatch the bisector looks to classify it as an
 #: in-place change, an insertion or a deletion.
@@ -669,162 +463,3 @@ def counter_drifts(
         for key in sorted(base)
         if base[key] != cur[key]
     ]
-
-
-# --------------------------------------------------------------------------
-# Anomaly triage
-# --------------------------------------------------------------------------
-
-#: Event names triage treats as anomalies, with the stream they come
-#: from.  ``telemetry.stall`` deliberately absent: host health, not
-#: model behavior.
-ANOMALY_NAMES = ("monitor.violation", "cost.mismatch")
-
-#: Per-round counters whose deltas triage snapshots around an anomaly.
-_ROUND_COUNTERS = ("messages", "message_bits", "oracle_queries")
-
-
-@dataclass
-class Anomaly:
-    """One violation/mismatch with its causal surroundings attached."""
-
-    name: str
-    seq: int
-    ts: float
-    attrs: dict
-    machine: int | None
-    round: int | None
-    chain: list[str] = field(default_factory=list)
-    counter_deltas: list[str] = field(default_factory=list)
-    preceding: list[str] = field(default_factory=list)
-
-    @property
-    def headline(self) -> str:
-        message = self.attrs.get("message")
-        check = self.attrs.get("check")
-        if message and check:
-            message = f"[{check}] {message}"
-        detail = (
-            message
-            or check
-            or (
-                f"{self.attrs.get('model', '?')}.{self.attrs.get('counter')}"
-                f" measured {self.attrs.get('measured')} vs predicted "
-                f"{self.attrs.get('predicted')}"
-                if "counter" in self.attrs
-                else json.dumps(self.attrs, sort_keys=True, default=repr)
-            )
-        )
-        where = []
-        if self.round is not None:
-            where.append(f"round {self.round}")
-        if self.machine is not None:
-            where.append(f"machine {self.machine}")
-        loc = f" ({', '.join(where)})" if where else ""
-        return f"{self.name}{loc}: {detail}"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seq": self.seq,
-            "machine": self.machine,
-            "round": self.round,
-            "attrs": self.attrs,
-            "chain": self.chain,
-            "counter_deltas": self.counter_deltas,
-            "preceding": self.preceding,
-        }
-
-
-def triage(records: RecordSource) -> list[Anomaly]:
-    """Link every anomaly event to its causal context, in one pass.
-
-    For each ``monitor.violation`` / ``cost.mismatch``: the last few
-    records on the stream (and on the anomaly's machine), the deltas of
-    the per-round counters between the two most recently closed rounds,
-    and -- computed once the stream is exhausted, because spans are
-    emitted at close -- the chain of spans enclosing the anomaly's
-    timestamp.
-    """
-    anomalies: list[Anomaly] = []
-    spans: list[TraceRecord] = []
-    recent: deque[tuple[int, TraceRecord]] = deque(maxlen=4)
-    closed_rounds: deque[dict] = deque(maxlen=2)
-    last_round: int | None = None
-    last_machine: int | None = None
-    for seq, record in enumerate(_replay(records)):
-        a = record.attrs
-        if "round" in a:
-            last_round = a["round"]
-        if "machine" in a:
-            last_machine = a["machine"]
-        if record.kind == "span":
-            spans.append(record)
-            if record.name == "mpc.round":
-                closed_rounds.append({
-                    "round": a.get("round"),
-                    **{c: a.get(c, 0) for c in _ROUND_COUNTERS},
-                })
-        if record.name in ANOMALY_NAMES:
-            deltas: list[str] = []
-            if len(closed_rounds) == 2:
-                prev, last = closed_rounds
-                for counter in _ROUND_COUNTERS:
-                    diff = last[counter] - prev[counter]
-                    deltas.append(
-                        f"{counter}: {prev[counter]} -> {last[counter]} "
-                        f"({diff:+d}) over rounds "
-                        f"{prev['round']} -> {last['round']}"
-                    )
-            elif len(closed_rounds) == 1:
-                last = closed_rounds[0]
-                deltas.extend(
-                    f"{c}: {last[c]} (round {last['round']}, first closed)"
-                    for c in _ROUND_COUNTERS
-                )
-            anomalies.append(Anomaly(
-                name=record.name,
-                seq=seq,
-                ts=record.ts,
-                attrs=dict(a),
-                machine=a.get("machine", last_machine),
-                round=a.get("round", last_round),
-                counter_deltas=deltas,
-                preceding=[
-                    f"#{i} {_summarize_record(r)}" for i, r in recent
-                ],
-            ))
-        if record.name not in HOST_NAMES:
-            recent.append((seq, record))
-    for anomaly in anomalies:
-        parents = [
-            s for s in spans
-            if s.dur is not None and s.ts <= anomaly.ts <= s.ts + s.dur
-        ]
-        parents.sort(key=lambda s: (s.ts, -(s.dur or 0.0)))
-        anomaly.chain = [_summarize_record(s) for s in parents]
-    return anomalies
-
-
-def triage_file(path: str) -> list[Anomaly]:
-    """Triage a JSONL trace file (streaming)."""
-    return triage(lambda: iter_trace_records(path))
-
-
-def render_triage(anomalies: Sequence[Anomaly]) -> str:
-    """The ``repro why`` text report."""
-    if not anomalies:
-        return "no anomalies: trace carries no monitor.violation or cost.mismatch events"
-    lines = [f"{len(anomalies)} anomal{'y' if len(anomalies) == 1 else 'ies'}:"]
-    for n, anomaly in enumerate(anomalies, 1):
-        lines.append(f"[{n}] {anomaly.headline}")
-        if anomaly.chain:
-            lines.append("    span chain:")
-            lines.extend(f"      {s}" for s in anomaly.chain)
-        if anomaly.counter_deltas:
-            lines.append("    nearest counter deltas:")
-            lines.extend(f"      {d}" for d in anomaly.counter_deltas)
-        if anomaly.preceding:
-            lines.append("    preceding records:")
-            lines.extend(f"      {p}" for p in anomaly.preceding)
-    return "\n".join(lines)

@@ -35,7 +35,7 @@ def flatten_dotted(node: dict, prefix: str = "") -> dict:
     """Flatten a nested mapping into sorted ``layer.metric[.stat]`` keys.
 
     The one flattening used everywhere a metrics tree meets a flat
-    consumer (the registry's metrics column, the HTML report's headline table,
+    consumer (the registry's metrics column,
     ``ExperimentResult.flat_metrics``); hand-rolled flattening of
     ``to_dict()`` output is deprecated in favor of this.
     """
@@ -169,13 +169,13 @@ class TraceMetrics:
     def to_flat_dict(self) -> dict:
         """:meth:`to_dict` flattened to one level with dotted keys.
 
-        The single key namespace shared by the HTML report,
-        ``repro trace`` output, and ``run-all --json``: every leaf of
-        the nested dict becomes ``layer.metric[.stat]``, e.g.
-        ``mpc.rounds``, ``mpc.round_latency_s.mean``,
-        ``oracle.repeat_fraction``, ``experiments.E-LINE``.  Histogram
-        buckets flatten as ``...histogram.<value>``.  Keys are sorted,
-        so the mapping is stable across runs of the same tree.
+        The single key namespace shared by ``repro trace`` output and
+        ``run-all --json``: every leaf of the nested dict becomes
+        ``layer.metric[.stat]``, e.g. ``mpc.rounds``,
+        ``mpc.round_latency_s.mean``, ``oracle.repeat_fraction``,
+        ``experiments.E-LINE``.  Histogram buckets flatten as
+        ``...histogram.<value>``.  Keys are sorted, so the mapping is
+        stable across runs of the same tree.
         """
         return flatten_dotted(self.to_dict())
 

@@ -237,6 +237,24 @@ class RunRecord:
         )
 
 
+def _utc_stamp(text: str) -> str:
+    """``text`` as the stamp :meth:`RunRegistry.record` writes, in UTC.
+
+    Stamps are compared as text, so a bound must be in the same form:
+    ISO-8601 to the second with a ``+00:00`` offset.  A value with no
+    offset is read as UTC.
+    """
+    try:
+        instant = datetime.fromisoformat(text)
+    except ValueError:
+        raise ValueError(
+            f"before must be an ISO-8601 date or timestamp, got {text!r}"
+        ) from None
+    if instant.tzinfo is None:
+        instant = instant.replace(tzinfo=timezone.utc)
+    return instant.astimezone(timezone.utc).isoformat(timespec="seconds")
+
+
 class RunRegistry:
     """Append-only store of :class:`RunRecord` rows in one SQLite file.
 
@@ -332,13 +350,17 @@ class RunRegistry:
 
         ``keep_last=N`` keeps the N most recent rows **per experiment**
         (the retention policy); ``before=ISO-TS`` additionally drops
-        everything older than the timestamp.  With neither argument it
-        is a no-op.
+        everything older than the timestamp, read as UTC when it names
+        no offset.  With neither argument it is a no-op.  A negative
+        ``keep_last`` or a ``before`` that is not an ISO-8601 date or
+        time raises :class:`ValueError` before any row is deleted.
         """
+        if keep_last is not None and keep_last < 0:
+            raise ValueError(f"keep_last must be >= 0, got {keep_last}")
+        if before is not None:
+            before = _utc_stamp(before)
         removed = 0
         if keep_last is not None:
-            if keep_last < 0:
-                raise ValueError(f"keep_last must be >= 0, got {keep_last}")
             cursor = self._conn.execute(
                 "DELETE FROM runs WHERE id NOT IN ("
                 "  SELECT id FROM ("

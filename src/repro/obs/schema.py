@@ -17,8 +17,6 @@ The consumers:
   (:func:`repro.obs.forensics.explain_divergence`) compares each record
   by kind, name and :func:`model_attrs`, in stream order, skipping
   :data:`HOST_NAMES`;
-* :func:`repro.obs.forensics.triage` keeps host records out of an
-  anomaly's preceding records;
 * :func:`repro.obs.registry.deterministic_metrics` drops the flat metric
   keys :func:`volatile_metric` names, the metric-key view of the same
   volatile data.

@@ -27,9 +27,9 @@ def query_key(x: Bits) -> str:
     The ``oracle.query`` trace event carries this instead of the raw
     bits: it is deterministic across runs (so two traces of the same
     seeded experiment agree) and fixed-width no matter how long the
-    query is, which is what the locality analysis
-    (:func:`repro.obs.analysis.query_locality`) needs to tell repeat
-    queries apart per machine.
+    query is.  ``repro trace-diff`` compares it as model data, so a
+    run that asks the oracle a different question diverges at that
+    query even when every counter agrees.
     """
     length = len(x)
     payload = x.to_int().to_bytes((length + 7) // 8 or 1, "big")

@@ -15,7 +15,7 @@ from repro.costmodel import (
     CostOracle,
     check_trace_records,
 )
-from repro.costmodel.ledger import ledger_from_records, render_ledger
+from repro.costmodel.ledger import render_ledger
 from repro.obs import TraceRecord, Tracer
 from tests.obs.test_schema import undeclared
 
@@ -173,7 +173,9 @@ class TestSummaryAndLedger:
         with tracer.span("mpc.run") as attrs:
             attrs.update(rounds=2, total_messages=4, total_message_bits=6,
                          total_oracle_queries=5, halted=True)
-        ledgers = ledger_from_records(tracer.records)
+        ledgers = [
+            r.attrs for r in tracer.records if r.name == "cost.predicted"
+        ]
         assert len(ledgers) == 1
         rendered = render_ledger(ledgers)
         assert "fullmem.colocated" in rendered

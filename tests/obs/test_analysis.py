@@ -1,18 +1,13 @@
-"""Tests for trace analytics (comm matrix, critical path, locality) and
-for the record-by-record trace comparison behind ``repro trace-diff``."""
+"""Tests for the record-by-record trace comparison behind ``repro trace-diff``."""
 
 import numpy as np
-import pytest
 
 from repro.functions import LineParams, sample_input
 from repro.obs import (
     TraceRecord,
     Tracer,
-    communication_matrix,
     counter_drifts,
-    critical_path,
     explain_divergence,
-    query_locality,
     render_divergence,
     use_tracer,
 )
@@ -37,97 +32,6 @@ def traced_line_run(seed=7, machines=4):
     with use_tracer(tracer):
         run_chain(setup, oracle)
     return list(tracer.records)
-
-
-class TestCommMatrix:
-    def test_folds_sent_to_maps(self):
-        records = [
-            ev("mpc.run_start", m=3),
-            ev("mpc.machine_step", dur=0.01, round=0, machine=0,
-               sent_to={"1": 5, "2": 7}),
-            ev("mpc.machine_step", dur=0.01, round=1, machine=1,
-               sent_to={"1": 3}),
-        ]
-        matrix = communication_matrix(records)
-        assert matrix.m == 3
-        assert matrix.bits == {(0, 1): 5, (0, 2): 7, (1, 1): 3}
-        assert matrix.total_bits == 15
-        rows = matrix.to_rows()
-        assert rows[0][2] == 7 and rows[1][1] == 3 and rows[2][0] == 0
-
-    def test_round_filter(self):
-        records = [
-            ev("mpc.machine_step", dur=0.01, round=0, machine=0,
-               sent_to={"1": 5}),
-            ev("mpc.machine_step", dur=0.01, round=1, machine=0,
-               sent_to={"1": 9}),
-        ]
-        assert communication_matrix(records, round=1).total_bits == 9
-        assert communication_matrix(records).total_bits == 14
-
-    def test_render_and_empty(self):
-        matrix = communication_matrix([])
-        assert matrix.m == 0 and matrix.total_bits == 0
-        assert "0 machines" in matrix.render()
-
-    def test_real_run_matrix_matches_totals(self):
-        records = traced_line_run()
-        matrix = communication_matrix(records)
-        (run_span,) = [r for r in records if r.name == "mpc.run"]
-        assert matrix.total_bits == run_span.attrs["total_message_bits"]
-        assert matrix.m == 4
-        assert "communication matrix" in matrix.render()
-
-
-class TestCriticalPath:
-    def test_slowest_machine_per_round(self):
-        records = [
-            ev("mpc.machine_step", dur=0.010, round=0, machine=0),
-            ev("mpc.machine_step", dur=0.030, round=0, machine=2),
-            ev("mpc.machine_step", dur=0.020, round=1, machine=1),
-        ]
-        path = critical_path(records)
-        assert [(s.round, s.machine) for s in path] == [(0, 2), (1, 1)]
-        assert path[0].dur_s == pytest.approx(0.030)
-
-    def test_real_run_covers_every_round(self):
-        records = traced_line_run()
-        path = critical_path(records)
-        rounds = {r.attrs["round"] for r in records if r.name == "mpc.round"}
-        assert {s.round for s in path} == rounds
-
-
-class TestQueryLocality:
-    def test_unique_counted_per_machine_by_key(self):
-        records = [
-            ev("oracle.query", machine=0, key="aa"),
-            ev("oracle.query", machine=0, key="aa"),
-            ev("oracle.query", machine=1, key="aa"),
-            ev("oracle.query", machine=1, key="bb"),
-        ]
-        report = query_locality(records)
-        assert report.total == 4
-        assert report.unique == 2  # aa, bb globally
-        assert report.per_machine[0].unique == 1
-        assert report.per_machine[1].unique == 2
-        assert report.repeat_fraction == pytest.approx(0.5)
-        assert report.per_machine[0].repeat_fraction == pytest.approx(0.5)
-        assert "oracle locality" in report.render()
-
-    def test_keyless_traces_fall_back_to_repeat_flag(self):
-        records = [
-            ev("oracle.query", machine=0, repeat=False),
-            ev("oracle.query", machine=0, repeat=True),
-        ]
-        report = query_locality(records)
-        assert report.total == 2 and report.unique == 1
-
-    def test_real_run_matches_run_totals(self):
-        records = traced_line_run()
-        report = query_locality(records)
-        queries = [r for r in records if r.name == "oracle.query"]
-        assert report.total == len(queries)
-        assert report.unique == len({r.attrs["key"] for r in queries})
 
 
 class TestDiffTraces:

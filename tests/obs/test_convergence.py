@@ -12,7 +12,6 @@ from repro.obs import (
     WelfordAccumulator,
     WilsonAccumulator,
     attach_estimates,
-    estimates_from_records,
 )
 
 
@@ -148,20 +147,6 @@ class TestConvergenceMonitor:
 
     def test_render_without_estimates(self):
         assert "no estimates" in ConvergenceMonitor().render()
-
-
-class TestOfflineReplay:
-    def test_estimates_from_records_matches_live(self):
-        tracer = Tracer()
-        live = ConvergenceMonitor()
-        tracer.subscribe(live)
-        for t in range(30):
-            tracer.event(
-                "trial.result", estimate="p", trial=t, worker=0,
-                value=float(t % 3 == 0), binary=True,
-            )
-        replayed = estimates_from_records(tracer.records)
-        assert replayed.estimates()["p"] == live.estimates()["p"]
 
 
 class TestAttachEstimates:

@@ -1,26 +1,14 @@
-"""Tests for the forensics engine: index, explainer, triage."""
-
-import json
-
-import pytest
+"""Tests for the trace-diff explainer: first divergence and causal context."""
 
 from repro.obs import (
     TraceRecord,
-    build_index,
     causal_context,
-    ensure_index,
     explain_divergence,
     explain_trace_files,
     render_divergence,
-    render_triage,
-    triage,
     write_jsonl,
 )
-from repro.obs.forensics import (
-    INDEX_SUFFIX,
-    canonical_identity,
-    default_index_path,
-)
+from repro.obs.forensics import canonical_identity
 
 
 def ev(name, ts=0.0, **attrs):
@@ -43,49 +31,6 @@ def small_trace():
            oracle_queries=2),
         sp("mpc.run", 0.0, 0.9, rounds=2),
     ]
-
-
-class TestTraceIndex:
-    def test_build_and_reopen(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(small_trace(), path)
-        index = build_index(path)
-        assert index.path == path + INDEX_SUFFIX == default_index_path(path)
-        assert index.records == len(small_trace())
-        rows = index.conn.execute(
-            "SELECT seq, name, machine, round FROM records ORDER BY seq"
-        ).fetchall()
-        assert rows[2] == (2, "oracle.query", 1, 1)
-        assert rows[5] == (5, "mpc.run", None, None)
-        index.close()
-
-    def test_ensure_reuses_fresh_index(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(small_trace(), path)
-        first = ensure_index(path)
-        stamp = first.meta["source_mtime_ns"]
-        first.close()
-        again = ensure_index(path)
-        assert again.meta["source_mtime_ns"] == stamp
-        again.close()
-
-    def test_ensure_rebuilds_on_source_change(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(small_trace(), path)
-        ensure_index(path).close()
-        write_jsonl(small_trace() + [ev("extra")], path)
-        index = ensure_index(path)
-        assert index.records == len(small_trace()) + 1
-        index.close()
-
-    def test_attrs_json_round_trips(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(small_trace(), path)
-        with build_index(path) as index:
-            (attrs_json,) = index.conn.execute(
-                "SELECT attrs FROM records WHERE seq = 1"
-            ).fetchone()
-        assert json.loads(attrs_json)["sent_to"] == {"1": 8}
 
 
 class TestExplainDivergence:
@@ -192,64 +137,3 @@ class TestCausalContext:
         d, ctx = explained
         assert d.kind == "extra" and d.record.name == "mpc.machine_step"
         assert explain_trace_files(base_path, base_path) is None
-
-
-class TestTriage:
-    def trace_with_anomalies(self):
-        return [
-            sp("mpc.round", 0.00, 0.10, round=0, messages=1, message_bits=8,
-               oracle_queries=1),
-            sp("mpc.round", 0.10, 0.10, round=1, messages=3, message_bits=40,
-               oracle_queries=2),
-            ev("mpc.machine_step", 0.22, round=2, machine=1, sent_bits=64,
-               sent_to={"0": 64}),
-            ev("monitor.violation", 0.23, check="round_communication",
-               message="round 2 moved 64 bits > 32", round=2, observed=64,
-               limit=32),
-            ev("cost.mismatch", 0.24, model="line", counter="messages",
-               measured=9, predicted=6, drift=0.5),
-            sp("mpc.run", 0.0, 0.5, rounds=3),
-        ]
-
-    def test_links_chain_deltas_and_preceding(self):
-        anomalies = triage(self.trace_with_anomalies())
-        assert [a.name for a in anomalies] == [
-            "monitor.violation", "cost.mismatch"
-        ]
-        violation = anomalies[0]
-        assert violation.round == 2 and violation.machine == 1
-        # 0.23 is inside mpc.run but after both closed rounds.
-        assert violation.chain == ["span mpc.run [rounds=3]"]
-        assert any("message_bits: 8 -> 40 (+32)" in d
-                   for d in violation.counter_deltas)
-        assert any("mpc.machine_step" in p for p in violation.preceding)
-        mismatch = anomalies[1]
-        assert "line.messages" in mismatch.headline
-        assert "measured 9" in mismatch.headline
-
-    def test_span_chain_by_timestamp_containment(self):
-        records = [
-            ev("monitor.violation", 0.05, check="x", message="inside round"),
-            sp("mpc.round", 0.00, 0.10, round=0, messages=1),
-            sp("mpc.run", 0.0, 0.5, rounds=1),
-        ]
-        (anomaly,) = triage(records)
-        assert [s.split()[1] for s in anomaly.chain] == [
-            "mpc.run", "mpc.round"
-        ]
-
-    def test_telemetry_not_in_preceding(self):
-        records = [
-            ev("telemetry.sample", 0.01, rss_kb=1),
-            ev("oracle.query", 0.02, key="a"),
-            ev("monitor.violation", 0.03, check="x", message="m"),
-        ]
-        (anomaly,) = triage(records)
-        assert all("telemetry" not in p for p in anomaly.preceding)
-
-    def test_render_and_empty(self):
-        assert "no anomalies" in render_triage([])
-        text = render_triage(triage(self.trace_with_anomalies()))
-        assert "2 anomalies" in text
-        assert "round_communication" in text
-        assert "nearest counter deltas" in text

@@ -122,6 +122,32 @@ class TestRunRegistry:
             with pytest.raises(ValueError):
                 reg.gc(keep_last=-1)
 
+    @pytest.mark.parametrize("before", ["yesterday", "2026-13-01", ""])
+    def test_gc_bad_before_deletes_nothing(self, tmp_path, before):
+        with RunRegistry(str(tmp_path / "runs.db")) as reg:
+            reg.record(_record(ts_utc="2020-01-01T00:00:00+00:00"))
+            reg.record(_record(ts_utc="2026-01-01T00:00:00+00:00"))
+            with pytest.raises(ValueError, match="ISO-8601"):
+                reg.gc(keep_last=0, before=before)
+            assert reg.count() == 2
+
+    @pytest.mark.parametrize("before", [
+        "2026-01-01",                 # date only: midnight UTC
+        "2026-01-01T00:00:00",        # no offset: read as UTC
+        "2026-01-01T02:00:00+02:00",  # the same instant at +02:00
+    ])
+    def test_gc_before_compares_utc_instants(self, tmp_path, before):
+        stamps = [
+            "2025-12-31T23:59:59+00:00",
+            "2026-01-01T00:00:00+00:00",
+            "2026-01-01T01:00:00+00:00",
+        ]
+        with RunRegistry(str(tmp_path / "runs.db")) as reg:
+            for stamp in stamps:
+                reg.record(_record(ts_utc=stamp))
+            assert reg.gc(before=before) == 1
+            assert [r.ts_utc for r in reg] == stamps[1:]
+
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "runs.db")
         RunRegistry(path).close()

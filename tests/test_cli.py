@@ -25,6 +25,35 @@ class TestList:
             assert description.strip(), f"{experiment_id} has a blank description"
 
 
+def exit_code(argv):
+    """``main(argv)``'s exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestSubcommands:
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        assert exit_code(["--help"]) == 0
+        out = capsys.readouterr().out
+        listed = out[out.index("{") + 1:out.index("}")]
+        assert set(listed.split(",")) == {
+            "list", "run", "run-all", "runs", "report", "profile",
+            "trace-diff", "trace", "cost",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "t.jsonl"],
+        ["query", "t.jsonl", "| count"],
+        ["why", "t.jsonl"],
+        ["report", "t.jsonl"],
+    ])
+    def test_removed_forms_are_usage_errors(self, argv, capsys):
+        assert exit_code(argv) == 2
+        assert "usage: repro" in capsys.readouterr().err
+
+
 class TestRun:
     def test_run_one(self, capsys):
         assert main(["run", "T1"]) == 0
@@ -64,45 +93,6 @@ class TestReport:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestTraceReport:
-    def _trace(self, tmp_path, experiment="E-BOUND", name="t.jsonl"):
-        path = str(tmp_path / name)
-        assert main(["trace", experiment, "--trace-out", path]) == 0
-        return path
-
-    def test_html_report_from_trace(self, tmp_path, capsys):
-        trace = self._trace(tmp_path)
-        out = str(tmp_path / "report.html")
-        assert main(["report", trace, "-o", out]) == 0
-        assert "wrote" in capsys.readouterr().out
-        html = open(out).read()
-        assert html.lstrip().startswith("<!doctype html>")
-        assert "E-BOUND" in html
-
-    def test_chrome_json_from_trace(self, tmp_path, capsys):
-        import json
-
-        trace = self._trace(tmp_path)
-        out = str(tmp_path / "trace.chrome.json")
-        assert main(["report", trace, "--format", "chrome-json",
-                     "-o", out]) == 0
-        events = json.load(open(out))
-        assert isinstance(events, list) and events
-        for event in events:
-            assert {"name", "ph", "ts", "pid", "tid"} <= set(event)
-
-    def test_empty_trace_file_exits_2(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["report", str(empty), "-o",
-                     str(tmp_path / "r.html")]) == 2
-        assert "no trace records" in capsys.readouterr().err
-
-    def test_format_without_trace_rejected(self, capsys):
-        assert main(["report", "--format", "chrome-json"]) == 2
-        assert "--format applies only" in capsys.readouterr().err
 
 
 class TestProfileCli:
@@ -690,6 +680,26 @@ class TestRunsCli:
         with RunRegistry(db) as reg:
             assert [r.run_id for r in reg] == [3]
 
+    @pytest.mark.parametrize("argv", [
+        ["runs", "gc", "--keep-last", "-1"],
+        ["runs", "gc", "--before", "yesterday"],
+        ["runs", "list", "-n", "-1"],
+        ["profile", "E-LINE", "--top", "-2"],
+    ])
+    def test_bad_numbers_exit_2_and_change_nothing(
+        self, tmp_path, capsys, argv
+    ):
+        from repro.obs import RunRegistry
+
+        db = self._seed(tmp_path)
+        if argv[0] == "runs":
+            argv = [*argv, "--registry", db]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        with RunRegistry(db) as reg:
+            assert [r.run_id for r in reg] == [1, 2]
+
 
 class TestConvergenceInTrace:
     def test_trace_reports_confidence_intervals(self, capsys):
@@ -710,7 +720,7 @@ class TestConvergenceInTrace:
 
 
 class TestForensicsCli:
-    """repro index / query / why / trace-diff."""
+    """repro trace-diff on real and hand-edited traces, and bad inputs."""
 
     def _write(self, tmp_path, name, records):
         from repro.obs import write_jsonl
@@ -723,87 +733,6 @@ class TestForensicsCli:
         path = str(tmp_path / "eline.jsonl")
         assert main(["trace", "E-LINE", "--trace-out", path]) == 0
         return path
-
-    def test_index_builds_next_to_trace(self, tmp_path, capsys):
-        path = self._eline_trace(tmp_path)
-        capsys.readouterr()
-        assert main(["index", path]) == 0
-        assert "indexed" in capsys.readouterr().out
-        import os
-
-        assert os.path.exists(path + ".idx")
-
-    def test_trace_out_auto_indexes(self, tmp_path, capsys):
-        import os
-
-        path = str(tmp_path / "t.jsonl")
-        assert main(["trace", "E-BOUND", "--trace-out", path]) == 0
-        assert os.path.exists(path + ".idx")
-        assert "index:" in capsys.readouterr().err
-
-    def test_auto_index_opt_out(self, tmp_path, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_AUTOINDEX", "0")
-        path = str(tmp_path / "t.jsonl")
-        assert main(["trace", "E-BOUND", "--trace-out", path]) == 0
-        assert not os.path.exists(path + ".idx")
-
-    def test_query_counts_match_trace_metrics_exactly(self, tmp_path, capsys):
-        """Acceptance: indexed E-LINE aggregations == TraceMetrics."""
-        import json
-
-        from repro.obs import TraceMetrics, read_jsonl
-
-        path = self._eline_trace(tmp_path)
-        metrics = TraceMetrics.from_records(read_jsonl(path))
-
-        def one(query):
-            capsys.readouterr()
-            assert main(["query", path, query, "--json"]) == 0
-            return json.loads(capsys.readouterr().out)["rows"][0][0]
-
-        assert one("name=oracle.query | count") == metrics.oracle_queries
-        assert one("name=oracle.query repeat=1 | count") == (
-            metrics.oracle_repeat_queries
-        )
-        assert one("kind=span name=mpc.round | count") == metrics.mpc_rounds
-        assert one("kind=span name=mpc.round | sum message_bits") == (
-            metrics.round_message_bits.total
-        )
-        assert one("kind=span name=mpc.round | sum messages") == (
-            metrics.round_messages.total
-        )
-        assert one("kind=span name=mpc.run | count") == metrics.mpc_runs
-
-    def test_query_bad_grammar_exits_2(self, tmp_path, capsys):
-        path = self._eline_trace(tmp_path)
-        capsys.readouterr()
-        assert main(["query", path, "total nonsense"]) == 2
-        assert "query:" in capsys.readouterr().err
-
-    def test_why_clean_trace_exits_0(self, tmp_path, capsys):
-        path = self._eline_trace(tmp_path)
-        capsys.readouterr()
-        assert main(["why", path]) == 0
-        assert "no anomalies" in capsys.readouterr().out
-
-    def test_why_reports_violations_and_exits_1(self, tmp_path, capsys):
-        from repro.obs import TraceRecord
-
-        records = [
-            TraceRecord("span", "mpc.round", 0.0, 0.1,
-                        {"round": 0, "messages": 1, "message_bits": 8,
-                         "oracle_queries": 1}),
-            TraceRecord("event", "monitor.violation", 0.2, None,
-                        {"check": "round_communication", "round": 1,
-                         "machine": 0, "observed": 99, "limit": 8,
-                         "message": "over budget"}),
-        ]
-        path = self._write(tmp_path, "bad.jsonl", records)
-        assert main(["why", path]) == 1
-        out = capsys.readouterr().out
-        assert "round_communication" in out and "round 1" in out
 
     def test_explain_names_injected_record(self, tmp_path, capsys):
         """Acceptance: one injected event is identified by name/machine/round."""
@@ -824,10 +753,10 @@ class TestForensicsCli:
         capsys.readouterr()
         assert main(["trace-diff", base, cur]) == 1
         out = capsys.readouterr().out
-        assert "first divergence" in out
+        assert "first divergence: extra record" in out
         assert "mpc.machine_step" in out
-        assert f"machine {injected['attrs']['machine']}" in out
-        assert f"round {injected['attrs']['round']}" in out
+        attrs = injected["attrs"]
+        assert f"machine {attrs['machine']}, round {attrs['round']}" in out
 
     def test_explain_clean_pair_exits_0(self, tmp_path, capsys):
         base = self._eline_trace(tmp_path)
@@ -864,10 +793,6 @@ class TestForensicsCli:
         for argv in (
             ["trace-diff", empty, other],
             ["trace-diff", other, empty],
-            ["report", empty],
-            ["why", empty],
-            ["index", empty],
-            ["query", empty, "| count"],
         ):
             assert main(argv) == 2, argv
             assert "no trace records" in capsys.readouterr().err
@@ -876,15 +801,10 @@ class TestForensicsCli:
         bogus = str(tmp_path / "notes.jsonl")
         with open(bogus, "w") as fh:
             fh.write('{"just": "some json"}\n')
-        for argv in (
-            ["trace-diff", bogus, bogus],
-            ["report", bogus],
-            ["why", bogus],
-        ):
-            assert main(argv) == 2, argv
-            assert "not a trace" in capsys.readouterr().err
+        assert main(["trace-diff", bogus, bogus]) == 2
+        assert "not a trace" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
-        assert main(["why", missing]) == 2
+        assert main(["trace-diff", missing, missing]) == 2
         assert "cannot read trace" in capsys.readouterr().err

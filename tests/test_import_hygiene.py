@@ -129,6 +129,31 @@ def test_cli_list_and_untraced_run_stay_light(argv):
     assert not top_level(loaded) & FORBIDDEN
 
 
+TRACE_OUT_THEN_DIFF = """
+import contextlib, io, json, os, sys
+from repro.cli import main
+
+path = os.path.join({out_dir!r}, "t.jsonl")
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    codes = [
+        main(["trace", "E-BOUND", "--trace-out", path]),
+        main(["trace-diff", path, path]),
+    ]
+print(json.dumps([codes, sorted(os.listdir({out_dir!r})), sorted(sys.modules)]))
+"""
+
+
+def test_trace_out_writes_only_the_trace(tmp_path):
+    """A traced run and its trace-diff leave one file and load no SQLite."""
+    codes, files, loaded = run_fresh(
+        TRACE_OUT_THEN_DIFF.format(out_dir=str(tmp_path))
+    )
+    assert codes == [0, 0]
+    assert files == ["t.jsonl"]
+    assert "sqlite3" not in top_level(loaded)
+
+
 @pytest.mark.parametrize("root", LAZY_ROOTS)
 class TestLazyRoots:
     def test_every_public_name_is_its_submodule_attribute(self, root):
